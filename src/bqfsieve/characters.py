@@ -5,15 +5,15 @@ Dirichlet character mod D whose prefix sum S(t) = sum_{n<=t} chi(n) is
 periodic with period D (the full-period sum vanishes).  Everything here
 exploits that periodicity:
 
-  * L(1,chi)  = sum_{d<=y} chi(d)/d - S(y)/y + int_y^inf S(t)/t^2 dt, and the
-    tail integral of a D-periodic step function has the closed form
-    (1/D) sum_s S(y+s) [psi((y+s+1)/D) - psi((y+s)/D)]  (psi = digamma),
-    so L(1,chi) is evaluated to float precision with O(D) work.
-  * -L'(1,chi) = sum_{d<=y} chi(d) log d / d - S(y) log y / y
-                 + int_y^inf S(t)(log t - 1)/t^2 dt; the log factor is split
-    as log y + log(t/y), leaving the same digamma tail plus a mean term
-    mu/y and a fluctuation certificate r/y^2 carried into the reported
-    error bound.
+  * L(1,chi) = -(1/D) sum_{r<=D} chi(r) psi(r/D)  (psi = digamma), the
+    constant term of L(s,chi) = D^-s sum_r chi(r) zeta(s, r/D) at s = 1.
+  * L'(1,chi) = -sum_n chi(n) log n / n is summed directly over a few
+    periods, and the tail of each residue class is closed by
+    Euler-Maclaurin; the reported error bound is the Euler-Maclaurin
+    remainder plus a worst-case float-rounding term.  Both L values take
+    O(D) work.
+  * int_y^inf S(t)/t^2 dt, the tail integral of a D-periodic step function,
+    has the closed form (1/D) sum_s S(y+s) [psi((y+s+1)/D) - psi((y+s)/D)].
   * E0(x) = min_y (y^2/x + |S(y)| + x int_y^inf |S|/t^2 dt) and its log
     variant E1(x) are evaluated on a geometric y-grid (ratio 1.1); the E1
     tail certificate is added so reported values are upper bounds.
@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import bernoulli, digamma
 
 from .arith import kronecker, shared_prime_table
 from .forms import Form, is_discriminant, unit_count
@@ -95,9 +96,7 @@ class CharacterProfile:
         self.S_mod[1:] = csum[:-1]
         self.S_mod[0] = 0
         self.s_max = int(np.max(np.abs(self.S_mod)))
-        self._mu_S = float(np.sum(self.S_mod)) / D
         self._mu_absS = float(np.sum(np.abs(self.S_mod))) / D
-        self._r_dev_S = self._max_cum_deviation(self.S_mod, self._mu_S)
         self._r_dev_absS = self._max_cum_deviation(np.abs(self.S_mod), self._mu_absS)
         self._lvals: LValues | None = None
 
@@ -127,10 +126,13 @@ class CharacterProfile:
     def _tail(self, vals: np.ndarray, y):
         ys = np.atleast_1d(np.asarray(y, dtype=np.int64))
         D = self.D
-        s = np.arange(D, dtype=np.int64)
-        A = ys[:, None] + s[None, :]
-        diff = digamma((A + 1) / D) - digamma(A / D)
-        out = (vals[A % D] * diff).sum(axis=1) / D
+        # one psi per grid point (y+s)/D, s = 0..D: the upper end of cell s
+        # is the lower end of cell s+1
+        psi = digamma((ys[:, None] + np.arange(D + 1.0)) / D)
+        diff = psi[:, 1:] - psi[:, :-1]
+        # row i is vals[(y_i + s) % D], s = 0..D-1: a window of vals repeated
+        windows = sliding_window_view(np.concatenate([vals, vals]), D)
+        out = (windows[ys % D] * diff).sum(axis=1) / D
         return out if np.ndim(y) else float(out[0])
 
 
@@ -175,34 +177,66 @@ class LValues:
     error_bound: float
 
 
-def L_values(D: int, precision_limit: int = 10**7) -> LValues:
-    """L(1,chi) and L'(1,chi) for chi = chi_{-D}.
+# L'(1,chi) sums N periods directly and closes the tail with the
+# Euler-Maclaurin terms of order 1, 3, ..., 2q-1.  Their sum
+# sum_j B_2j/(2j) (log u - H_{2j-1}) s^j, s = (D/u)^2, is evaluated as
+# log u * P(s) - Q(s) with the coefficients below.
+_EM_PERIODS = 8
+_EM_ORDER = 10
+_EM_B = bernoulli(2 * _EM_ORDER)[2::2] / np.arange(2, 2 * _EM_ORDER + 1, 2)
+_EM_H = np.cumsum(1 / np.arange(1, 2 * _EM_ORDER + 1))
+_EM_P = np.append(_EM_B[::-1], 0.0)
+_EM_Q = np.append((_EM_B * _EM_H[0::2])[::-1], 0.0)
 
-    L1 comes out exact to float precision (closed-form tail); L1_prime
-    carries the fluctuation certificate r/y^2 as error_bound, with the
-    partial-sum length grown until that certificate is below 1e-7 or the
-    precision_limit is hit.
+
+def L_values(D: int) -> LValues:
+    """L(1,chi) and L'(1,chi) for chi = chi_{-D}, with O(D) work.
+
+    L1 = -(1/D) sum_{r<=D} chi(r) psi(r/D).  L1_prime = -sum_n chi(n) h(n)
+    with h(u) = log(u)/u, summed directly for n <= y = N D.  The tail of each
+    residue class, sum_{k>=0} h(u + kD) with u = y + r, is closed by
+    Euler-Maclaurin (Cohen, Number Theory II, GTM 240, ch. 9) using
+    h^(k)(u) = (-1)^k k! (log u - H_k) / u^(k+1).  The divergent integral
+    terms cancel over the classes because sum_r chi(r) = 0, which leaves
+    -(1/2D) sum_r chi(r) log^2 u.
+
+    error_bound bounds the error of L1_prime.  It is the Euler-Maclaurin
+    remainder, (|B_2q|/(2q)!) int |g^(2q)| summed over the classes, plus the
+    worst-case rounding gamma_n * sum |x_i| of summing n computed values
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2),
+    with slack for the few operations that form each value.
     """
     prof = char_profile(D)
     cached = prof._lvals
     if cached is not None:
         return cached
-    D_ = prof.D
-    K = max(64, -(-int(math.sqrt(max(prof._r_dev_S, 1.0) / 1e-7)) // D_))
-    y = min(K * D_, max(precision_limit // D_, 1) * D_)
-    reps = y // D_
-    chi_run = np.tile(prof.chi[1:], reps).astype(np.float64)
-    d = np.arange(1, y + 1, dtype=np.float64)
-    inv = chi_run / d
-    sum_inv = float(np.sum(inv))
-    sum_log = float(np.dot(inv, np.log(d)))
-    # y is a full period so S(y) = 0 and the boundary terms drop
-    tail0 = prof.tail_quadratic(y)
-    L1 = sum_inv + tail0
-    log_tail = (math.log(y) - 1.0) * tail0 + prof._mu_S / y
-    cert = prof._r_dev_S / (y * y)
-    L1p = -(sum_log + log_tail)
-    vals = LValues(L1=L1, L1_prime=L1p, error_bound=cert)
+    D, N, q = prof.D, _EM_PERIODS, _EM_ORDER
+    chi = prof.chi[1:].astype(np.float64)
+    r = np.arange(1, D + 1, dtype=np.float64)
+    L1 = -float(np.sum(chi * digamma(r / D))) / D
+
+    y = N * D
+    n = np.arange(1, y + 1, dtype=np.float64).reshape(N, D)
+    partial = float(np.sum(np.log(n) / n * chi))
+    # log u = log y + log1p(r/y) keeps the cancelling log^2 u terms well
+    # conditioned: -(1/2D) sum chi log^2 u = -(1/D) sum chi (log y ell + ell^2/2)
+    ell = np.log1p(r / y)
+    log_y = math.log(y)
+    u = y + r
+    log_u = log_y + ell
+    s = (D / u) ** 2
+    em = log_u * np.polyval(_EM_P, s) - np.polyval(_EM_Q, s)
+    tail = (em - log_y * ell - ell * ell / 2) / D + log_u / (2 * u)
+    L1p = -(partial + float(np.sum(tail * chi)))
+
+    # |h^(2q)(v)| <= (2q)! (log v + H_2q) / v^(2q+1) and D/u <= 1/N
+    remainder = (abs(_EM_B[-1]) / N ** (2 * q)
+                 * (math.log(y + D) + _EM_H[-1] + 1 / (2 * q)))
+    # sum_{n<=y} log n/n <= log^2 y/2 + 1, and the tail pieces add at most
+    # 2 log(y+D)/N + 1 in absolute value (ell <= 1/N, u >= y)
+    mass = log_y**2 / 2 + 2 + 2 * math.log(y + D) / N
+    rounding = (y + D + 4 * q + 16) * np.finfo(np.float64).eps * mass
+    vals = LValues(L1=L1, L1_prime=L1p, error_bound=remainder + rounding)
     prof._lvals = vals
     return vals
 
@@ -245,8 +279,8 @@ def weighted_dirichlet_sums(D: int, x) -> WeightedSums:
     weight = 1.0 - n / x
     lv = L_values(D)
     return WeightedSums(
-        Sigma0=float(np.dot(conv, weight)),
-        Sigma1=float(np.dot(conv / n, weight)),
+        Sigma0=float(np.sum(conv * weight)),
+        Sigma1=float(np.sum(conv / n * weight)),
         main0=x / 2 * lv.L1,
         main1=lv.L1 * (math.log(x) + EULER_GAMMA - 1) + lv.L1_prime,
     )

@@ -1,9 +1,13 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from scipy.special import digamma
 
 from bqfsieve.arith import kronecker
-from bqfsieve.characters import (EULER_GAMMA, L_values, average_exceptional_report,
+from bqfsieve.characters import (EULER_GAMMA, L_values, _x_grid, _y_grid,
+                                 average_exceptional_report,
                                  char_prefix_sums, char_profile,
                                  class_number_estimate,
                                  dirichlet_convolution_table, error_functionals,
@@ -65,6 +69,46 @@ def test_L_values_classical():
     # round(w sqrt(D) L1 / 2pi) recovers h(-23) = 3
     h, resid = class_number_estimate(23)
     assert h == 3 and resid < 0.5
+
+
+def _mp_L_values(D):
+    """(L(1,chi), L'(1,chi)) at 30 digits from the Hurwitz-zeta expansion:
+    L1 = -(1/D) sum chi(r) psi(r/D) and
+    L1' = -log D L1 - (1/D) sum chi(r) gamma_1(r/D)  (Berndt 1972)."""
+    prof = char_profile(D)
+    with mpmath.workdps(30):
+        rs = [r for r in range(1, D) if prof.chi[r]]
+        L1 = -mpmath.fsum(int(prof.chi[r]) * mpmath.digamma(mpmath.mpf(r) / D)
+                          for r in rs) / D
+        g1 = mpmath.fsum(int(prof.chi[r]) * mpmath.stieltjes(1, mpmath.mpf(r) / D)
+                         for r in rs)
+        return L1, -mpmath.log(D) * L1 - g1 / D
+
+
+def test_L_values_against_mpmath():
+    # fundamental and non-fundamental (12, 27, 300) discriminants
+    for D in (3, 4, 8, 12, 23, 27, 40, 84, 300):
+        L1, L1p = _mp_L_values(D)
+        lv = L_values(D)
+        assert abs(lv.L1 - L1) <= 1e-13, D
+        assert abs(lv.L1_prime - L1p) <= lv.error_bound <= 1e-7, D
+
+
+def _tail_two_psi(prof, vals, ys):
+    """The closed-form tail with two digamma calls per cell."""
+    D = prof.D
+    A = ys[:, None] + np.arange(D, dtype=np.int64)[None, :]
+    diff = digamma((A + 1) / D) - digamma(A / D)
+    return (vals[A % D] * diff).sum(axis=1) / D
+
+
+def test_tail_bit_identical_to_two_psi_formula():
+    # the y-grids scan_discriminant builds at epsilon = 0.1
+    for D in (3, 4, 23, 40, 163, 600, 2003):
+        prof = char_profile(D)
+        ys = _y_grid(_x_grid(D**0.1, min(D**2.1, 1e7))[-1])
+        for vals in (prof.S_mod, np.abs(prof.S_mod)):
+            assert np.array_equal(prof._tail(vals, ys), _tail_two_psi(prof, vals, ys)), D
 
 
 def test_L_values_rejects_non_discriminant():
