@@ -25,6 +25,7 @@ this module to the reduced-form enumeration and is the main cross-check.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,8 +354,9 @@ def sum_local_densities(f: Form, z: float) -> LocalDensitySum:
         g = np.zeros(N + 1, dtype=np.float64)
         g[1] = 1.0
         if N >= 2:
-            table = shared_prime_table(N)
-            gp = {p: float(local_density_g(f, p)) for p in table.primes if p <= N}
+            primes = shared_prime_table(N).primes
+            primes = primes[:bisect_right(primes, N)]
+            gp = {p: float(local_density_g(f, p)) for p in primes}
             spf = _smallest_prime_factor(N)
             for n in range(2, N + 1):
                 p = spf[n]

@@ -12,9 +12,11 @@ together with the root set M(l) of a m^2 + b m + c mod l, the local density
 g(l) = prod_{p | l} (1 + chi(p) - chi(p)/p)/p, and the square-root average
 sum_{w <= W} sqrt(W^2 - w^2) whose main term is pi W^2/4 - W/2.
 
-Membership tests are exact: (2au + bv)^2 + D v^2 <= 4ax with the threshold
-held as a rational, so a real x gets floor semantics with no floating point
-in the inner loop.  Counting is O(V) in the window height V = sqrt(4ax/D).
+Membership tests are exact: f takes integer values, so f(u,v) <= x iff
+(2au + bv)^2 + D v^2 <= T with the integer threshold T = 4a floor(x).  One
+row kernel (`_rows`) turns T into the u-range of every row v at once, with
+an integer square root, and every count here is built on its rows.
+Counting is O(V) in the window height V = sqrt(4ax/D).
 """
 
 from __future__ import annotations
@@ -62,38 +64,45 @@ class EllipseWindow:
         return cls(f=f, x=xq, V=V)
 
 
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
+_EXACT_FLOAT = 1 << 52   # every integer below this is an exact float64
+_INT64_ROWS = 1 << 62    # T below this keeps v, lo, hi and their sums in int64
+_TABLE_CELLS = 1 << 16   # residue pairs (ubar, vbar) per block of the root table
 
 
-def _u_bounds(a: int, b: int, v: int, s: int) -> tuple[int, int]:
-    # integers u with |2au + bv| <= s
-    return _ceil_div(-s - b * v, 2 * a), (s - b * v) // (2 * a)
+def _rows(f: Form, X: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of {f <= X} as int64 arrays (v, lo, hi), [lo, hi] the u-range at v.
+
+    f(u,v) <= X iff (2au + bv)^2 <= T - Dv^2 with T = 4aX, so row v holds the
+    u with |2au + bv| <= s, s = isqrt(S), S = T - Dv^2.  Below 2^52, S is an
+    exact float and the floor of its correctly rounded root is isqrt(S): with
+    k = isqrt(S) < 2^26, sqrt(S) >= k rounds to at least k, and sqrt(S) lies
+    more than 1/(2k + 2) >= 2^-27 below k + 1, more than one ulp of a float
+    below 2^26, so it rounds to less than k + 1.  Above 2^52, or with the one
+    row v = 0 when D > T, s comes from math.isqrt per row.  Empty rows are
+    dropped.
+    """
+    a, b, D = f.a, f.b, f.D
+    T = 4 * a * X
+    if T >= _INT64_ROWS:
+        raise ValueError("window too large: 4ax must stay below 2^62")
+    vmax = math.isqrt(T // D) if T >= 0 else -1
+    v = np.arange(-vmax, vmax + 1, dtype=np.int64)
+    if D <= T < _EXACT_FLOAT:
+        S = T - D * v * v
+        s = np.sqrt(S.astype(np.float64)).astype(np.int64)
+    else:
+        s = np.array([math.isqrt(T - D * w * w) for w in range(-vmax, vmax + 1)],
+                     dtype=np.int64)
+    bv = b * v
+    lo = -((s + bv) // (2 * a))
+    hi = (s - bv) // (2 * a)
+    keep = hi >= lo
+    return v[keep], lo[keep], hi[keep]
 
 
-def _count_in(lo: int, hi: int, r: int, mod: int) -> int:
-    # integers u in [lo, hi] with u = r (mod mod)
-    if hi < lo:
-        return 0
+def _count_in(lo, hi, r, mod: int):
+    # integers u in [lo, hi] with u = r (mod mod), for lo <= hi + 1
     return (hi - r) // mod - (lo - 1 - r) // mod
-
-
-def _window_rows(window: EllipseWindow):
-    """Yield (v, lo, hi) with [lo, hi] the exact u-range at height v."""
-    f, x = window.f, window.x
-    a, b = f.a, f.b
-    T = 4 * a * x  # rational threshold: (2au+bv)^2 + Dv^2 <= T
-    if T < 0:
-        return
-    vmax = math.isqrt(int(T / f.D)) if T >= f.D else 0
-    for v in range(-vmax, vmax + 1):
-        S = int(T - f.D * v * v)  # floor; exact since the lhs is an integer
-        if S < 0:
-            continue
-        s = math.isqrt(S)
-        lo, hi = _u_bounds(a, b, v, s)
-        if hi >= lo:
-            yield v, lo, hi
 
 
 def r_f(f: Form, n: int) -> int:
@@ -122,7 +131,8 @@ def r_f(f: Form, n: int) -> int:
 
 def count_A(window: EllipseWindow) -> int:
     """|A| = #{(u,v) : f(u,v) <= x}, origin included."""
-    return sum(hi - lo + 1 for _, lo, hi in _window_rows(window))
+    _, lo, hi = _rows(window.f, math.floor(window.x))
+    return int((hi - lo + 1).sum())
 
 
 def _require_squarefree(ell: int) -> None:
@@ -132,16 +142,34 @@ def _require_squarefree(ell: int) -> None:
         raise ValueError(f"modulus {ell} is not squarefree")
 
 
-def _u_root_table(f: Form, ell: int) -> list[list[int]]:
-    # table[v mod l] = residues u mod l with f(u, v) = 0 mod l
-    table: list[list[int]] = [[] for _ in range(ell)]
+def _residue_rows(window: EllipseWindow, ell: int):
+    """Kernel rows (v, lo, hi) and, per row, #{u in [lo, hi] : f(u,v) = 0 mod l}.
+
+    With P[vbar, t] = #{ubar < t : f(ubar, vbar) = 0 mod l}, the count of such
+    u below n is F(n) = (n // l) P[vbar, l] + P[vbar, n mod l] for every
+    integer n, and a row holds F(hi + 1) - F(lo) of them.  P comes from a scan
+    of all l^2 residue pairs (products stay below l^3 < 2^63), a block of
+    vbar at a time so that memory stays bounded for large l.
+    """
+    if ell >= 1 << 21:
+        raise ValueError(f"modulus {ell} too large: the l^2 residue scan needs l < 2^21")
+    f = window.f
     a, b, c = f.a % ell, f.b % ell, f.c % ell
-    for vbar in range(ell):
-        row = table[vbar]
-        for ubar in range(ell):
-            if (a * ubar * ubar + b * ubar * vbar + c * vbar * vbar) % ell == 0:
-                row.append(ubar)
-    return table
+    v, lo, hi = _rows(f, math.floor(window.x))
+    r = np.arange(ell, dtype=np.int64)
+    vbar = v % ell
+    counts = np.empty_like(v)
+    step = max(1, _TABLE_CELLS // ell)
+    for start in range(0, ell, step):
+        sel = np.flatnonzero((vbar >= start) & (vbar < start + step))
+        if len(sel):
+            w = r[start:start + step, None]
+            P = np.zeros((len(w), ell + 1), dtype=np.int64)
+            np.cumsum((a * r * r + b * w * r + c * w * w) % ell == 0, axis=1, out=P[:, 1:])
+            k, l, h = vbar[sel] - start, lo[sel], hi[sel]
+            counts[sel] = (((h + 1) // ell - l // ell) * P[k, ell]
+                           + P[k, (h + 1) % ell] - P[k, l % ell])
+    return v, lo, hi, counts
 
 
 def count_A_ell(window: EllipseWindow, ell: int) -> int:
@@ -149,12 +177,7 @@ def count_A_ell(window: EllipseWindow, ell: int) -> int:
     _require_squarefree(ell)
     if ell == 1:
         return count_A(window)
-    table = _u_root_table(window.f, ell)
-    total = 0
-    for v, lo, hi in _window_rows(window):
-        for ubar in table[v % ell]:
-            total += _count_in(lo, hi, ubar, ell)
-    return total
+    return int(_residue_rows(window, ell)[3].sum())
 
 
 def count_B_ell(window: EllipseWindow, ell: int) -> int:
@@ -162,14 +185,8 @@ def count_B_ell(window: EllipseWindow, ell: int) -> int:
     _require_squarefree(ell)
     if ell == 1:
         return count_A(window)
-    table = _u_root_table(window.f, ell)
-    total = 0
-    for v, lo, hi in _window_rows(window):
-        if math.gcd(v, ell) != 1:
-            continue
-        for ubar in table[v % ell]:
-            total += _count_in(lo, hi, ubar, ell)
-    return total
+    v, _, _, counts = _residue_rows(window, ell)
+    return int(counts[np.gcd(v, ell) == 1].sum())
 
 
 @dataclass(frozen=True)
@@ -238,26 +255,16 @@ def count_congruence(window: EllipseWindow, ell: int) -> CongruenceCount:
     identities relating them are genuine cross-checks, not tautologies.
     """
     _require_squarefree(ell)
-    f = window.f
-    rset = root_set(f, ell)
-    table = _u_root_table(f, ell)
-    a_ell = 0
-    a_by_d = {d: 0 for d in divisors(ell)}
-    b_ell = 0
-    b_by_m = {m: 0 for m in rset.roots}
-    for v, lo, hi in _window_rows(window):
-        g = math.gcd(v, ell)
-        row = 0
-        for ubar in table[v % ell]:
-            row += _count_in(lo, hi, ubar, ell)
-        a_ell += row
-        a_by_d[g] += row
-        if g == 1:
-            b_ell += row
-            for m in rset.roots:
-                b_by_m[m] += _count_in(lo, hi, (m * v) % ell, ell)
-    return CongruenceCount(window=window, ell=ell, a_ell=a_ell, a_ell_by_d=a_by_d,
-                           b_ell=b_ell, b_ell_by_m=b_by_m, roots=rset)
+    rset = root_set(window.f, ell)
+    v, lo, hi, counts = _residue_rows(window, ell)
+    g = np.gcd(v, ell)
+    a_by_d = {d: int(counts[g == d].sum()) for d in divisors(ell)}
+    coprime = g == 1
+    v, lo, hi = v[coprime], lo[coprime], hi[coprime]
+    b_by_m = {m: int(_count_in(lo, hi, m * v % ell, ell).sum()) for m in rset.roots}
+    return CongruenceCount(window=window, ell=ell, a_ell=int(counts.sum()),
+                           a_ell_by_d=a_by_d, b_ell=a_by_d[1], b_ell_by_m=b_by_m,
+                           roots=rset)
 
 
 @dataclass(frozen=True)
@@ -335,18 +342,10 @@ def value_bitmap(f: Form, x) -> np.ndarray:
     if X < 0:
         return np.zeros(0, dtype=bool)
     rep = np.zeros(X + 1, dtype=bool)
-    a, b, c, D = f.a, f.b, f.c, f.D
-    T = 4 * a * X
-    vmax = math.isqrt(T // D)
-    for v in range(0, vmax + 1):
-        S = T - D * v * v
-        if S < 0:
-            continue
-        s = math.isqrt(S)
-        lo, hi = _u_bounds(a, b, v, s)
-        if hi < lo:
-            continue
-        u = np.arange(lo, hi + 1, dtype=np.int64)
-        vals = (a * u + b * v) * u + c * v * v
-        rep[vals] = True
+    a, b, c = f.a, f.b, f.c
+    v, lo, hi = _rows(f, X)
+    half = v >= 0
+    for w, l, h in zip(v[half].tolist(), lo[half].tolist(), hi[half].tolist()):
+        u = np.arange(l, h + 1, dtype=np.int64)
+        rep[(a * u + b * w) * u + c * w * w] = True
     return rep

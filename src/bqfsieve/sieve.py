@@ -9,19 +9,21 @@ J = sum h(l) and optimal weights
     J_d = sum_{m < z/d, m | P(z), (m,d)=1} h(m),
 
 computed exactly as rationals (so the minimized quadratic form equals 1/J
-identically and |lambda_d| <= 1 is asserted, which is what makes the final
+identically and |lambda_d| <= 1 is checked, which is what makes the final
 bound an honest inequality between computed numbers).  Remainders r_l come
 from exact lattice counts, never from the error envelope.
 
 The sifting parameter z = (a/(Dx))^(1/4) y^(1/2) (log y)^(-7) + 1; at desk
 scale the (log y)^7 factor keeps z barely above 1, so the system is usually
 the degenerate l = 1 one and the bound reduces to 2 pi y / sqrt(D) plus the
-exact remainder.  The machinery is exercised at larger z by the tests.
+exact remainder, and the sifted count is the l = 1 interval count itself.
+The machinery is exercised at larger z by the tests.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +33,8 @@ import numpy as np
 from .arith import mult_functions, shared_prime_table
 from .characters import L_values, sum_local_densities
 from .forms import Form, delta_f, enumerate_class_set, is_primitive, is_reduced
-from .lattice import EllipseWindow, count_A_ell, local_density_g, value_bitmap
+from .lattice import (EllipseWindow, _rows, count_A_ell, local_density_g,
+                      value_bitmap)
 
 __all__ = [
     "SieveParams",
@@ -47,13 +50,14 @@ __all__ = [
     "prime_count_upto",
 ]
 
+MASK_CAP = 2 * 10**8
 _prime_mask: np.ndarray | None = None
 
 
 def _prime_mask_upto(limit: int) -> np.ndarray:
     """Cached boolean array: mask[n] iff n prime, n <= limit."""
     global _prime_mask
-    if limit > 2 * 10**8:
+    if limit > MASK_CAP:
         raise ValueError("prime mask limited to 2e8; use a smaller x")
     if _prime_mask is None or len(_prime_mask) <= limit:
         n = max(limit, 1 << 16)
@@ -82,8 +86,8 @@ def pi_f(f: Form, x) -> int:
     X = math.floor(x)
     if X < 2:
         return 0
+    mask = _prime_mask_upto(X)  # first: an x above the cap fails before the bitmap
     rep = value_bitmap(f, X)
-    mask = _prime_mask_upto(X)
     return int(np.count_nonzero(rep & mask[: X + 1]))
 
 
@@ -98,25 +102,12 @@ def sifted_interval_count(f: Form, x, y, z) -> int:
         raise ValueError("need 0 <= y <= x")
     if y == 0:
         return 0
-    X = math.floor(x)
     lo_val = math.floor(x - y) + 1
-    small_primes = [p for p in shared_prime_table(max(math.floor(z), 2)).primes
-                    if p <= z]
-    a, b, c, D = f.a, f.b, f.c, f.D
-    T = 4 * a * X
-    if T < 0:
-        return 0
-    vmax = math.isqrt(T // D)
+    primes = shared_prime_table(max(math.floor(z), 2)).primes
+    small_primes = primes[:bisect_right(primes, z)]
+    a, b, c = f.a, f.b, f.c
     total = 0
-    for v in range(-vmax, vmax + 1):
-        S = T - D * v * v
-        if S < 0:
-            continue
-        s = math.isqrt(S)
-        lo = -((s + b * v) // (2 * a))
-        hi = (s - b * v) // (2 * a)
-        if hi < lo:
-            continue
+    for v, lo, hi in zip(*(r.tolist() for r in _rows(f, math.floor(x)))):
         u = np.arange(lo, hi + 1, dtype=np.int64)
         vals = (a * u + b * v) * u + c * v * v
         keep = vals >= lo_val
@@ -157,7 +148,8 @@ def selberg_system(f: Form, z: float) -> SelbergSystem:
 
 
 def _build_system(f: Form, z: float) -> SelbergSystem:
-    primes = [p for p in shared_prime_table(max(math.floor(z), 2)).primes if p <= z]
+    primes = shared_prime_table(max(math.floor(z), 2)).primes
+    primes = primes[:bisect_right(primes, z)]
     gp = {p: local_density_g(f, p) for p in primes}
     support = _squarefree_products(primes, z)
     h: dict[int, Fraction] = {}
@@ -178,7 +170,8 @@ def _build_system(f: Form, z: float) -> SelbergSystem:
                 mu = -mu
         J_d = sum(h[m] for m in support if m * d < z and math.gcd(m, d) == 1)
         lam = mu * (h[d] / g_d) * J_d / J
-        assert abs(lam) <= 1, "Selberg weight escaped [-1, 1]"
+        if abs(lam) > 1:
+            raise RuntimeError(f"Selberg weight lambda_{d} = {lam} escaped [-1, 1]")
         lambdas[d] = lam
     moduli = _squarefree_products(primes, z * z)
     cross: dict[int, Fraction] = {l: Fraction(0) for l in moduli}
@@ -309,8 +302,11 @@ def selberg_upper_bound(params: SieveParams) -> SieveReport:
     win_lo = EllipseWindow.of(f, x - y)
     rem_maj = 0.0
     rem_signed = 0.0
+    sifted = None
     for ell in sys.remainder_moduli:
         interval = count_A_ell(win_hi, ell) - count_A_ell(win_lo, ell)
+        if ell == 1 and not sys.primes:
+            sifted = interval  # P(z) = 1 sifts nothing out of (x - y, x]
         r_ell = interval - float(local_density_g(f, ell)) * main_density
         rem_maj += mult_functions(ell).tau3 * abs(r_ell)
         rem_signed += float(sys.cross_coeff[ell]) * r_ell
@@ -321,7 +317,8 @@ def selberg_upper_bound(params: SieveParams) -> SieveReport:
         script_J = ly**2
     else:
         script_J = sum_local_densities(f, params.z).sum / lv.L1
-    sifted = sifted_interval_count(f, x, y, params.z)
+    if sifted is None:
+        sifted = sifted_interval_count(f, x, y, params.z)
     exact_primes = pi_f_interval(f, x, y)
     tb = theorem_rhs(f, x, y, params.phi_mode, params.epsilon)
     rhs = tb.rhs_interval if y < x else tb.rhs_full

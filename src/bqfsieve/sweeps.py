@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from .characters import family
 from .forms import Form, delta_f, enumerate_class_set
-from .sieve import SieveParams, count_almost_primes, selberg_upper_bound
+from .sieve import (MASK_CAP, SieveParams, _prime_mask_upto, count_almost_primes,
+                    selberg_upper_bound)
 
 __all__ = ["SweepConfig", "SweepRecord", "SweepSummary", "SweepResult",
            "RuleError", "run_sweep", "build_tasks", "eval_rule", "CSV_COLUMNS"]
@@ -74,6 +75,8 @@ class SweepConfig:
             raise ValueError("phi must be 0 or 0.25")
         if self.Q < 3:
             raise ValueError("Q must be >= 3")
+        if not (math.isfinite(self.x_max) and self.x_max >= 2):
+            raise ValueError(f"x_max must be a finite number >= 2, got {self.x_max}")
 
 
 @dataclass(frozen=True)
@@ -207,6 +210,8 @@ def _run_row(args: tuple[RowTask, str, float, float, float, int]) -> SweepRecord
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
+    if cfg.mode != "almost" and cfg.x_max > MASK_CAP:
+        raise ValueError(f"x_max {cfg.x_max:g} exceeds the prime-mask cap {MASK_CAP:g}")
     tasks = build_tasks(cfg)
     jobs = int(os.environ.get("BQF_THREADS", cfg.jobs))
     start = time.monotonic()
@@ -218,11 +223,16 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             records.append(_na_record(t, "na"))
     partial = False
     done = 0
+    # pi_f reads the prime mask up to each row's x: size it once, for the largest
+    mask_x = (math.floor(max(job[0].x for job in live))
+              if live and cfg.mode != "almost" else None)
     if jobs > 1 and len(live) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = 32
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=_prime_mask_upto if mask_x else None,
+                                 initargs=(mask_x,)) as pool:
             for i in range(0, len(live), chunk):
                 if cfg.time_budget is not None and time.monotonic() - start > cfg.time_budget:
                     partial = True
@@ -230,6 +240,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                 records.extend(pool.map(_run_row, live[i : i + chunk]))
                 done = i + chunk
     else:
+        if mask_x:
+            _prime_mask_upto(mask_x)
         for i, job in enumerate(live):
             if cfg.time_budget is not None and time.monotonic() - start > cfg.time_budget:
                 partial = True

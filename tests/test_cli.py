@@ -122,6 +122,14 @@ def test_verify_malformed_rule(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("xmax", ["3e8", "nan", "inf", "1"])
+def test_verify_rejects_bad_xmax(capsys, xmax):
+    # rejected before any worker starts, with a message instead of a traceback
+    code, _, err = run_cli(capsys, "verify", "--Q", "10", "--xmax", xmax, "--jobs", "2")
+    assert code == 2
+    assert "x_max" in err and "Traceback" not in err
+
+
 def test_verify_time_budget_marks_skipped(tmp_path, capsys):
     p = tmp_path / "sweep.csv"
     code, _, err = run_cli(capsys, "verify", "--Q", "40", "--time-budget", "0",

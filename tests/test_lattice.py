@@ -2,12 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from bqfsieve import lattice
 from bqfsieve.arith import kronecker, mult_functions
-from bqfsieve.forms import Form, enumerate_class_set, scale_form
-from bqfsieve.lattice import (EllipseWindow, count_A, count_A_ell, count_B_ell,
+from bqfsieve.forms import Form, enumerate_class_set, is_reduced, scale_form
+from bqfsieve.lattice import (EllipseWindow, _rows, count_A, count_A_ell, count_B_ell,
                               count_congruence, local_density_g,
                               local_density_report, r_f, root_set, sqrt_average,
                               value_bitmap)
@@ -44,6 +46,69 @@ def test_r_f_examples():
 def test_r_f_brute_force(n):
     for f in (Form(1, 0, 1), Form(2, 1, 3), Form(1, 1, 6), Form(3, 2, 5)):
         assert r_f(f, n) == brute_r_f(f, n)
+
+
+def isqrt_rows(f, X):
+    """Oracle: the kernel's rows from math.isqrt, one row at a time."""
+    a, b, D = f.a, f.b, f.D
+    T = 4 * a * X
+    rows = []
+    for v in range(-math.isqrt(T // D), math.isqrt(T // D) + 1):
+        s = math.isqrt(T - D * v * v)
+        lo, hi = -((s + b * v) // (2 * a)), (s - b * v) // (2 * a)
+        if hi >= lo:
+            rows.append((v, lo, hi))
+    return rows
+
+
+@st.composite
+def reduced_forms(draw):
+    a = draw(st.integers(1, 12))
+    b = draw(st.integers(-a, a))
+    c = draw(st.integers(a, 60))
+    f = Form(a, b, c)
+    assume(is_reduced(f))
+    return f
+
+
+@given(reduced_forms(),
+       st.fractions(min_value=Fraction(-3), max_value=Fraction(2000), max_denominator=9))
+@example(Form(4, -2, 5), Fraction(19))  # row v = -2 is empty
+@settings(max_examples=150, deadline=None)
+def test_rows_match_brute_enumeration(f, x):
+    v, lo, hi = _rows(f, math.floor(x))
+    assert v.dtype == lo.dtype == hi.dtype == np.int64
+    assert np.all(np.diff(v) > 0) and np.all(lo <= hi)
+    got = {(u, w) for w, l, h in zip(v.tolist(), lo.tolist(), hi.tolist())
+           for u in range(l, h + 1)}
+    assert got == (set(brute_points(f, x)) if x >= 0 else set())
+
+
+@pytest.mark.parametrize("f, X", [
+    # float path at the top of its range: T = k^2 - 1 for the largest odd
+    # k < 2^26, the root closest to rounding up to k
+    (Form(1, 0, 2**40 + 3), ((2**26 - 1) ** 2 - 1) // 4),
+    (Form(1, 0, 2**40 + 3), (2**25 - 1) ** 2),          # T a perfect square
+    (Form(1, 1, 2**40 + 1), 2**50 - 1),                 # T = 2^52 - 4
+    # math.isqrt fallback: T >= 2^52, or D > T (one row; D beyond int64)
+    (Form(1, 0, 2**40 + 3), 2**50),
+    (Form(2, 1, 2**70), 10**6),
+    # T = (2m)^2 - 4 near 2^58: the float root rounds up to 2m, so a float
+    # kernel would give hi = m at v = 0 instead of m - 1
+    (Form(1, 0, 2**40 + 3), (2**28 + 1) ** 2 - 1),
+    (Form(3, 2, 2**41 + 7), 2**50 + 12345),
+    (Form(7, -5, 2**45 + 1), 3 * 2**55 + 1),
+])
+def test_rows_against_isqrt_near_2_52(f, X):
+    v, lo, hi = _rows(f, X)
+    assert list(zip(v.tolist(), lo.tolist(), hi.tolist())) == isqrt_rows(f, X)
+
+
+def test_kernel_rejects_int64_overflow():
+    with pytest.raises(ValueError):
+        _rows(Form(1, 0, 2**60), 2**61)
+    with pytest.raises(ValueError):  # squarefree, above 2^21
+        count_A_ell(EllipseWindow.of(Form(1, 0, 1), 10), 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19)
 
 
 def test_count_A_examples():
@@ -123,6 +188,18 @@ def test_count_congruence_brute(ell):
         assert cc.b_ell == b_ell
         assert cc.a_ell == sum(cc.a_ell_by_d.values())
         assert cc.b_ell == sum(cc.b_ell_by_m.values())
+
+
+def test_count_congruence_in_residue_blocks(monkeypatch):
+    # a large l scans its residue table a block of v residues at a time;
+    # blocks of 7 cells force that path at small l
+    monkeypatch.setattr(lattice, "_TABLE_CELLS", 7)
+    for f in (Form(1, 0, 1), Form(2, 1, 3)):
+        for ell in (1, 2, 6, 15, 30):
+            cc = count_congruence(EllipseWindow.of(f, 150), ell)
+            a_ell, by_d, b_ell = brute_congruence(f, 150, ell)
+            assert cc.a_ell == a_ell and cc.b_ell == b_ell
+            assert {d: n for d, n in cc.a_ell_by_d.items() if n} == by_d
 
 
 def test_change_of_variables_identity():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bqfsieve import sieve
 from bqfsieve.forms import Form, delta_f, enumerate_class_set, unit_count
 from bqfsieve.lattice import count_A, EllipseWindow, local_density_g
 from bqfsieve.sieve import (SieveParams, count_almost_primes, pi_f, pi_f_interval,
@@ -127,6 +128,29 @@ def test_selberg_degenerate_z_is_trivial_bound():
     assert rep.upper_bound >= rep.sifted_count
     # z < 2 sieves nothing: the sifted count is every nonzero value in (0, x]
     assert rep.sifted_count == count_A(EllipseWindow.of(f, 10**4)) - 1
+
+
+def test_sifted_count_equals_general_path():
+    # z < 2 takes the sifted count from the l = 1 remainder; z >= 2 sieves
+    for f in (Form(1, 0, 1), Form(1, 1, 1), Form(2, 1, 3), Form(3, 2, 7)):
+        for (x, y) in ((500, 500), (2000, 1000), (7777.5, 3000.25), (10**4, 10**4)):
+            if y < math.sqrt(f.a * x) or x < f.D / f.a:
+                continue
+            pinned = SieveParams.of(f, x, y)
+            assert pinned.z < 2
+            for params in [pinned] + [dataclasses.replace(pinned, z=z, R=z * z)
+                                      for z in (1.5, 2.0, 3.0, 7.5)]:
+                rep = selberg_upper_bound(params)
+                assert rep.sifted_count == sifted_interval_count(f, x, y, params.z), (
+                    f, x, y, params.z)
+
+
+def test_selberg_weight_check_raises(monkeypatch):
+    # a density outside (0, 1) pushes a weight out of [-1, 1]; the check
+    # must be a raised exception, not an assert that python -O strips
+    monkeypatch.setattr(sieve, "local_density_g", lambda f, ell: Fraction(-1, 2))
+    with pytest.raises(RuntimeError, match="escaped"):
+        sieve._build_system(Form(1, 0, 1), 7.5)
 
 
 def test_selberg_degenerate_L_branch():
