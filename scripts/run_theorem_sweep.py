@@ -12,6 +12,7 @@ import csv
 import math
 import sys
 
+from bqfsieve.cli import _record_row
 from bqfsieve.sweeps import CSV_COLUMNS, SweepConfig, run_sweep
 
 
@@ -30,13 +31,9 @@ def main():
     res = run_sweep(cfg)
 
     with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
-        for r in res.records:
-            w.writerow([r.D, r.a, r.b, r.c, r.h, r.delta_f, r.x, r.y,
-                        "%.10g" % r.z if r.z == r.z else "",
-                        r.exact_count, r.upper_bound, r.rhs_theorem,
-                        r.theta_or_theta_prime, r.pass_, r.runtime_ms])
+        w.writerows(_record_row(r) for r in res.records)
 
     rows = [r for r in res.records if r.pass_ in ("0", "1")]
     ratios = sorted(r.exact_count / r.rhs_theorem for r in rows)

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import bernoulli, digamma
 
-from .arith import kronecker, shared_prime_table
+from .arith import shared_prime_table
 from .forms import Form, is_discriminant, unit_count
 from .lattice import local_density_g
 
@@ -59,23 +59,38 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329  # Euler-Mascheroni, hard-coded
 
 
+# Euler's criterion squares residues b < p <= D in int64
+_CHI_D_MAX = math.isqrt(2**63 - 1)
+
+
 def _chi_period(D: int) -> np.ndarray:
-    """chi(n) for n = 0..D as int8, filled multiplicatively over prime powers."""
-    chi = np.ones(D + 1, dtype=np.int8)
-    chi[0] = 0
-    for p in shared_prime_table(max(D, 2)).primes:
-        if p > D:
-            break
-        cp = kronecker(-D, p)
-        if cp == 1:
-            continue
-        if cp == 0:
-            chi[p::p] = 0
-            continue
-        pk = p
-        while pk <= D:
-            chi[pk::pk] *= np.int8(-1)
-            pk *= p
+    """chi(n) for n = 0..D as int8.
+
+    chi(p) comes from Euler's criterion (-D)^((p-1)/2) mod p at the odd
+    primes and from -D mod 8 at p = 2; every other n follows from
+    chi(n) = chi(spf(n)) chi(n/spf(n)), one block [2^k, 2^(k+1)) at a time,
+    since n/spf(n) < 2^k.
+    """
+    if D > _CHI_D_MAX:
+        raise ValueError(f"D = {D} is too large for the int64 Euler criterion")
+    n = np.arange(D + 1)
+    spf = _smallest_prime_factor(D)[: D + 1]
+    chi = np.zeros(D + 1, dtype=np.int8)
+    chi[1] = 1
+    p = n[3:][spf[3:] == n[3:]]
+    b, e, r = -D % p, (p - 1) // 2, np.ones_like(p)
+    while e.any():
+        r = np.where(e & 1, r * b % p, r)
+        b = b * b % p
+        e >>= 1
+    chi[p] = np.where(r == p - 1, -1, r)
+    chi[2] = 0 if D % 2 == 0 else (1 if -D % 8 == 1 else -1)
+    lo = 4
+    while lo <= D:
+        hi = min(2 * lo, D + 1)
+        q = spf[lo:hi]
+        chi[lo:hi] = chi[q] * chi[n[lo:hi] // q]
+        lo = hi
     return chi
 
 
@@ -92,13 +107,16 @@ class CharacterProfile:
         csum = np.cumsum(self.chi[1:], dtype=np.int64)
         if csum[-1] != 0:
             raise AssertionError(f"chi_(-{D}) is not mean-zero over its period")
-        # S(n) for n = r (mod D); S(D) = 0 lands in slot 0
-        self.S_mod = np.empty(D, dtype=np.int64)
+        # S(n) for n = r (mod D); S(D) = 0 lands in slot 0.  |S(n)| <= n < D,
+        # so the narrowest signed type holding -D holds S and |S| (the
+        # profile cache keeps both)
+        self.S_mod = np.empty(D, dtype=np.min_scalar_type(-D))
         self.S_mod[1:] = csum[:-1]
         self.S_mod[0] = 0
-        self.s_max = int(np.max(np.abs(self.S_mod)))
-        self._mu_absS = float(np.sum(np.abs(self.S_mod))) / D
-        self._r_dev_absS = self._max_cum_deviation(np.abs(self.S_mod), self._mu_absS)
+        self.abs_S = np.abs(self.S_mod)
+        self.s_max = int(np.max(self.abs_S))
+        self._mu_absS = float(np.sum(self.abs_S)) / D
+        self._r_dev_absS = self._max_cum_deviation(self.abs_S, self._mu_absS)
         self._lvals: LValues | None = None
 
     @staticmethod
@@ -122,7 +140,7 @@ class CharacterProfile:
 
     def tail_quadratic_abs(self, y) -> "np.ndarray | float":
         """Same closed form with |S|."""
-        return self._tail(np.abs(self.S_mod), y)
+        return self._tail(self.abs_S, y)
 
     def _tail(self, vals: np.ndarray, y):
         ys = np.atleast_1d(np.asarray(y, dtype=np.int64))
@@ -308,8 +326,7 @@ def _y_grid(limit: float, ratio: float = 1.1) -> np.ndarray:
 
 def _functional_minima(prof: CharacterProfile, x: float, ys: np.ndarray,
                        tails: np.ndarray) -> ErrorFunctionals:
-    absS = np.abs(prof.S_mod)
-    e0 = ys.astype(np.float64) ** 2 / x + absS[ys % prof.D] + x * tails
+    e0 = ys.astype(np.float64) ** 2 / x + prof.abs_S[ys % prof.D] + x * tails
     logx = math.log(max(x, 1.0))
     e1 = (ys / x
           + logx * (np.log(ys) * tails + prof._mu_absS / ys
@@ -371,9 +388,12 @@ _spf_cache: dict[int, np.ndarray] = {}
 
 
 def _smallest_prime_factor(N: int) -> np.ndarray:
+    """spf(n) for n = 0..M with M >= N; the table grows x2, so an ascending
+    run of N rebuilds it O(log N) times."""
     for lim, tab in _spf_cache.items():
         if lim >= N:
             return tab
+        N = max(N, 2 * lim)
     spf = np.arange(N + 1, dtype=np.int64)
     for p in range(2, math.isqrt(N) + 1):
         if spf[p] == p:
@@ -427,13 +447,17 @@ def scan_discriminant(D: int, epsilon: float, x_cap: float = 1e7) -> tuple[bool,
     x_hi = min(float(D) ** (2 + epsilon), x_cap)
     xs = _x_grid(x_lo, x_hi)
     ys = _y_grid(xs[-1])
-    tails = np.asarray(prof.tail_quadratic_abs(ys))
+    # the loop stops at the first violating x, so tail rows are computed
+    # only as far as the rows ys <= x that it reads (at least one)
+    tails = np.empty(len(ys))
+    done = 0
     viol_E = False
     for x in xs:
-        sel = ys <= x
-        if not np.any(sel):
-            sel = ys <= ys[0]
-        ef = _functional_minima(prof, x, ys[sel], tails[sel])
+        k = max(int(np.searchsorted(ys, x, side="right")), 1)
+        if k > done:
+            tails[done:k] = prof.tail_quadratic_abs(ys[done:k])
+            done = k
+        ef = _functional_minima(prof, x, ys[:k], tails[:k])
         if ef.E0 > x ** (7 / 8 + epsilon) or ef.E1 > x ** (-1 / 8 + epsilon):
             viol_E = True
             break
@@ -449,6 +473,8 @@ def average_exceptional_report(Q: int, epsilon: float, x_cap: float = 1e7,
         raise ValueError("Q must be >= 100")
     if not 0 < epsilon < 0.125:
         raise ValueError("epsilon must lie in (0, 1/8)")
+    if not (math.isfinite(x_cap) and x_cap >= 1):
+        raise ValueError(f"x_cap must be a finite number >= 1, got {x_cap}")
     members = family(Q).members
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -312,11 +312,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _set_jobs(args) -> None:
+    """Apply the BQF_THREADS override (the one place it is read) and require
+    an integer job count >= 1."""
+    env = os.environ.get("BQF_THREADS")
+    if env:
+        try:
+            args.jobs = int(env)
+        except ValueError:
+            raise ValueError(f"BQF_THREADS must be an integer, got {env!r}") from None
+    if args.jobs < 1:
+        raise ValueError(f"jobs (--jobs or BQF_THREADS) must be >= 1, got {args.jobs}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "jobs" in args and os.environ.get("BQF_THREADS"):
-        args.jobs = int(os.environ["BQF_THREADS"])
     try:
+        if "jobs" in args:
+            _set_jobs(args)
         return args.func(args)
     except (ValueError, RuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,9 @@ and skip the heavy counting entirely.
 
 from __future__ import annotations
 
+import ast
 import math
-import os
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -39,13 +40,48 @@ class RuleError(ValueError):
     """Malformed or out-of-range x/y rule."""
 
 
+_MAX_RULE_EXPONENT = 100.0
+
+
+def _capped_pow(base: float, exp: float) -> float:
+    if not abs(exp) <= _MAX_RULE_EXPONENT:
+        raise ValueError(f"exponent {exp:g} exceeds {_MAX_RULE_EXPONENT:g}")
+    return math.pow(base, exp)
+
+
+_RULE_FUNCS = {"log": math.log, "sqrt": math.sqrt, "min": min, "max": max}
+_RULE_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+             ast.Mult: operator.mul, ast.Div: operator.truediv,
+             ast.Pow: _capped_pow}
+
+
+def _eval_node(node: ast.AST, ns: dict[str, float]) -> float:
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in ns:
+        return ns[node.id]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_eval_node(node.operand, ns)
+    if isinstance(node, ast.BinOp) and type(node.op) in _RULE_OPS:
+        return _RULE_OPS[type(node.op)](_eval_node(node.left, ns),
+                                        _eval_node(node.right, ns))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _RULE_FUNCS and not node.keywords):
+        return float(_RULE_FUNCS[node.func.id](*(_eval_node(a, ns) for a in node.args)))
+    raise ValueError(f"{type(node).__name__} is not allowed")
+
+
 def eval_rule(expr: str, D: int, a: int, phi: float, epsilon: float) -> float:
-    """Evaluate a power-law rule over (D, a); no builtins reachable."""
-    ns = {"D": D, "a": a, "phi": phi, "epsilon": epsilon,
-          "log": math.log, "sqrt": math.sqrt, "min": min, "max": max}
+    """Evaluate a power-law rule over (D, a) in floats.
+
+    Admitted: numbers, the names D, a, phi and epsilon, + - * / **, unary
+    minus, and calls to log, sqrt, min and max.  An exponent above 100 in
+    absolute value is rejected.
+    """
+    ns = {"D": float(D), "a": float(a), "phi": float(phi), "epsilon": float(epsilon)}
     try:
-        val = float(eval(compile(expr, "<rule>", "eval"), {"__builtins__": {}}, ns))
-    except Exception as exc:
+        val = _eval_node(ast.parse(expr, "<rule>", mode="eval").body, ns)
+    except (SyntaxError, ValueError, ArithmeticError, TypeError, RecursionError) as exc:
         raise RuleError(f"malformed rule {expr!r}: {exc}") from exc
     if not math.isfinite(val) or val < 2:
         raise RuleError(f"rule {expr!r} evaluated to {val}; need a finite x >= 2")
@@ -213,7 +249,6 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     if cfg.mode != "almost" and cfg.x_max > MASK_CAP:
         raise ValueError(f"x_max {cfg.x_max:g} exceeds the prime-mask cap {MASK_CAP:g}")
     tasks = build_tasks(cfg)
-    jobs = int(os.environ.get("BQF_THREADS", cfg.jobs))
     start = time.monotonic()
     records: list[SweepRecord] = []
     live = [(t, cfg.mode, cfg.phi_mode, cfg.epsilon, cfg.slack, cfg.k)
@@ -226,11 +261,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     # pi_f reads the prime mask up to each row's x: size it once, for the largest
     mask_x = (math.floor(max(job[0].x for job in live))
               if live and cfg.mode != "almost" else None)
-    if jobs > 1 and len(live) > 1:
+    if cfg.jobs > 1 and len(live) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = 32
-        with ProcessPoolExecutor(max_workers=jobs,
+        with ProcessPoolExecutor(max_workers=cfg.jobs,
                                  initializer=_prime_mask_upto if mask_x else None,
                                  initargs=(mask_x,)) as pool:
             for i in range(0, len(live), chunk):

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
+from bqfsieve import characters
 from bqfsieve.arith import kronecker
-from bqfsieve.characters import (EULER_GAMMA, L_values, _x_grid, _y_grid,
-                                 average_exceptional_report,
+from bqfsieve.characters import (_CHI_D_MAX, EULER_GAMMA, ErrorFunctionals,
+                                 L_values, _chi_period, _functional_minima,
+                                 _x_grid, _y_grid, average_exceptional_report,
                                  char_prefix_sums, char_profile,
                                  class_number_estimate,
                                  dirichlet_convolution_table, error_functionals,
-                                 family, sum_local_densities,
-                                 weighted_dirichlet_sums)
+                                 family, scan_discriminant,
+                                 sum_local_densities, weighted_dirichlet_sums)
 from bqfsieve.forms import Form, enumerate_class_set, fundamental_part
 
 
@@ -34,6 +36,20 @@ def test_profile_matches_kronecker():
         prof = char_profile(D)
         for n in range(1, 2 * D + 1):
             assert prof.chi_at(n) == kronecker(-D, n), (D, n)
+    # the whole period, every discriminant below 2000
+    for D in range(3, 2000):
+        if D % 4 in (0, 3):
+            chi = _chi_period(D).tolist()
+            assert chi == [0] + [kronecker(-D, n) for n in range(1, D + 1)], D
+    # a power of 2, 4p, a large prime factor (3 * 65537), a prime: sampled n
+    rng = np.random.default_rng(7)
+    for D in (2**16, 4 * 10007, 3 * 65537, 100003):
+        chi = _chi_period(D)
+        ns = np.concatenate([np.arange(1, 300), [D - 1, D],
+                             rng.integers(1, D + 1, 3000)])
+        assert all(chi[n] == kronecker(-D, int(n)) for n in ns), D
+    with pytest.raises(ValueError):
+        _chi_period(_CHI_D_MAX + 1)
 
 
 def test_prefix_sum_step_invariant():
@@ -109,6 +125,66 @@ def test_tail_bit_identical_to_two_psi_formula():
         ys = _y_grid(_x_grid(D**0.1, min(D**2.1, 1e7))[-1])
         for vals in (prof.S_mod, np.abs(prof.S_mod)):
             assert np.array_equal(prof._tail(vals, ys), _tail_two_psi(prof, vals, ys)), D
+
+
+def _scan_eager(D, epsilon, x_cap=1e7):
+    """scan_discriminant with the whole tail grid computed up front."""
+    prof = char_profile(D)
+    xs = _x_grid(float(D) ** epsilon, min(float(D) ** (2 + epsilon), x_cap))
+    ys = _y_grid(xs[-1])
+    tails = np.asarray(prof.tail_quadratic_abs(ys))
+    viol_E = False
+    for x in xs:
+        sel = ys <= x
+        if not np.any(sel):
+            sel = ys <= ys[0]
+        ef = _functional_minima(prof, x, ys[sel], tails[sel])
+        if ef.E0 > x ** (7 / 8 + epsilon) or ef.E1 > x ** (-1 / 8 + epsilon):
+            viol_E = True
+            break
+    lv = L_values(D)
+    viol_L = (-lv.L1_prime / lv.L1) > 10 * math.log(math.log(D))
+    return viol_E, viol_L
+
+
+def test_lazy_scan_matches_eager_scan(monkeypatch):
+    cases = [(D, eps, cap) for D in (*range(3, 400), 1000, 2003, 4999)
+             if D % 4 in (0, 3)
+             for eps, cap in ((0.01, 1e7), (0.1, 1e7), (0.12, 1e7), (0.1, 1.5))]
+    for D, eps, cap in cases:
+        assert scan_discriminant(D, eps, cap) == _scan_eager(D, eps, cap), (D, eps, cap)
+    # with no violation the loop walks every x; each x must see the rows
+    # ys <= x (at least one) with the full-grid tail values, and every row
+    # is computed once; with a violation at the first x only its rows are
+    seen, rows = [], []
+    tail = characters.CharacterProfile._tail
+
+    def counted_tail(prof, vals, y):
+        rows.append(np.size(y))
+        return tail(prof, vals, y)
+
+    def minima(prof, x, ys, tails, E0=0.0):
+        seen.append((x, ys.copy(), tails.copy()))
+        return ErrorFunctionals(x=x, E0=E0, E1=0.0, argmin_y0=1.0, argmin_y1=1.0)
+
+    monkeypatch.setattr(characters.CharacterProfile, "_tail", counted_tail)
+    for E0 in (0.0, math.inf):
+        monkeypatch.setattr(characters, "_functional_minima",
+                            lambda *a, E0=E0: minima(*a, E0=E0))
+        for D in (3, 4, 23, 40, 163, 600, 2003):
+            for eps in (0.01, 0.1):
+                xs = _x_grid(float(D) ** eps, min(float(D) ** (2 + eps), 1e7))
+                ys = _y_grid(xs[-1])
+                full = tail(char_profile(D), char_profile(D).abs_S, ys)
+                seen.clear()
+                rows.clear()
+                scan_discriminant(D, eps)
+                assert [x for x, _, _ in seen] == (xs if E0 == 0 else xs[:1])
+                for x, ys_x, tails_x in seen:
+                    k = max(int(np.sum(ys <= x)), 1)
+                    assert np.array_equal(ys_x, ys[:k]), (D, eps, x)
+                    assert np.array_equal(tails_x, full[:k]), (D, eps, x)
+                assert sum(rows) == k, (D, eps, E0)
 
 
 def test_L_values_rejects_non_discriminant():
@@ -266,6 +342,9 @@ def test_average_exceptional_report_rejects():
         average_exceptional_report(100, 0.2)
     with pytest.raises(ValueError):
         average_exceptional_report(100, 0.0)
+    for cap in (float("nan"), float("inf"), -1.0, 0.0, 0.5):
+        with pytest.raises(ValueError, match="x_cap"):
+            average_exceptional_report(100, 0.1, x_cap=cap)
 
 
 def test_euler_gamma_constant():

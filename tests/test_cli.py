@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -167,6 +168,37 @@ def test_family_command(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "family", "--Q", "3")
     assert code == 2
+    for bad in (("--jobs", "0"), ("--xmax", "nan"), ("--xmax", "inf"),
+                ("--xmax", "-1"), ("--xmax", "0")):
+        code, _, err = run_cli(capsys, "family", "--Q", "100", *bad)
+        assert code == 2 and "Traceback" not in err, bad
+
+
+def test_verify_rejects_zero_jobs(capsys):
+    code, _, err = run_cli(capsys, "verify", "--Q", "10", "--jobs", "0")
+    assert code == 2 and "jobs" in err
+
+
+@pytest.mark.parametrize("rule", [
+    "().__class__.__base__.__subclasses__().__len__() + 0*D",
+    "9**9**9**9 + D",
+    "D**1000",
+    "__import__('os').getpid() + D",
+    "(lambda: D)()",
+    "log(-D)",
+    "(-D)**0.5",
+    "D if a else a",
+    "min()",
+    "True + D",
+    "__builtins__ + D",
+    "abs(D) * D",
+    "~D + D * D",
+])
+def test_verify_rejects_hostile_rule(capsys, rule):
+    started = time.monotonic()
+    code, _, err = run_cli(capsys, "verify", "--Q", "3", "--x-rule", rule)
+    assert code == 2 and "rule" in err and "Traceback" not in err
+    assert time.monotonic() - started < 5
 
 
 def test_bqf_threads_env_override(tmp_path, capsys, monkeypatch):
@@ -176,6 +208,11 @@ def test_bqf_threads_env_override(tmp_path, capsys, monkeypatch):
                          "--out", str(p))
     assert code == 0
     assert len(p.read_text().splitlines()) > 1
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("BQF_THREADS", bad)
+        for argv in (("family", "--Q", "100"), ("verify", "--Q", "10")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2 and "BQF_THREADS" in err, (bad, argv)
 
 
 def test_eval_rule():
@@ -185,6 +222,11 @@ def test_eval_rule():
         eval_rule("__import__('os')", 10, 1, 0.25, 0.2)
     with pytest.raises(RuleError):
         eval_rule("1", 10, 1, 0.25, 0.2)
+    assert eval_rule("max(sqrt(D), log(a)) * -(-2) / 1e0", 16, 3, 0.25, 0.2) == 8.0
+    assert eval_rule("min(D, a, 7) - 1", 16, 9, 0.25, 0.2) == 6.0
+    assert eval_rule("2**-(-100)", 16, 9, 0.25, 0.2) == 2.0**100
+    with pytest.raises(RuleError, match="exponent"):
+        eval_rule("2**101", 16, 9, 0.25, 0.2)
 
 
 def test_build_tasks_interval_window():
