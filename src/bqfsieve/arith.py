@@ -4,13 +4,15 @@ Provides the Kronecker symbol (m/n) with its standard extension to even and
 non-positive n, an Eratosthenes prime table, trial-division factorization and
 the small multiplicative functions (mu, phi, tau, tau_3, omega, Omega) that
 the congruence-sum and sieve machinery consume.  Everything here is exact:
-Python integers throughout, no floating point.
+Python integers throughout, no floating point.  `factorize` and
+`mult_functions` are pure and return frozen values, so both are memoised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "PrimeTable",
@@ -119,6 +121,7 @@ class Factorization:
             raise ValueError(f"inconsistent factorization of {self.n}")
 
 
+@lru_cache(maxsize=1 << 12)
 def factorize(n: int) -> Factorization:
     """Trial division against the cached prime table; exact for any n >= 1.
 
@@ -167,6 +170,7 @@ class MultValues:
     squarefree: bool
 
 
+@lru_cache(maxsize=1 << 12)
 def mult_functions(n: int) -> MultValues:
     """mu, phi, tau, tau_3, omega, Omega and squarefreeness of n, exactly."""
     fac = factorize(n)

@@ -70,7 +70,7 @@ def cmd_count(args) -> int:
     f = _parse_form(args)
     window = EllipseWindow.of(f, args.x)
     cc = count_congruence(window, args.ell)
-    rep = local_density_report(window, args.ell)
+    rep = local_density_report(window, args.ell, exact=cc.a_ell)
     if args.format == "json":
         print(json.dumps({"schema": "bqf-sieve/1", "form": f.triple(),
                           "x": args.x, "ell": args.ell, "counts": cc.counts,
@@ -236,6 +236,17 @@ def _emit(text: str, out: str | None, newline_end: bool = True) -> None:
         sys.stdout.write(text if not newline_end else text + "\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is not inf, -inf or nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_form_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
@@ -259,22 +270,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="congruence counts and local density at x")
     _add_form_args(p)
-    p.add_argument("x", type=float)
+    p.add_argument("x", type=_finite_float)
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("pif", help="primes up to x represented by the form")
     _add_form_args(p)
-    p.add_argument("x", type=float)
-    p.add_argument("--interval", type=float, default=None, metavar="Y")
+    p.add_argument("x", type=_finite_float)
+    p.add_argument("--interval", type=_finite_float, default=None, metavar="Y")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_pif)
 
     p = sub.add_parser("sieve", help="run the Selberg upper-bound sieve once")
     _add_form_args(p)
-    p.add_argument("x", type=float)
-    p.add_argument("--y", type=float, default=None)
+    p.add_argument("x", type=_finite_float)
+    p.add_argument("--y", type=_finite_float, default=None)
     p.add_argument("--phi", type=float, choices=(0.0, 0.25), default=0.25)
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--format", choices=("text", "json"), default="text")

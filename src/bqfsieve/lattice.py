@@ -17,13 +17,22 @@ Membership tests are exact: f takes integer values, so f(u,v) <= x iff
 row kernel (`_rows`) turns T into the u-range of every row v at once, with
 an integer square root, and every count here is built on its rows.
 Counting is O(V) in the window height V = sqrt(4ax/D).
+
+One cache policy covers the counts: a window computes its rows once
+(`EllipseWindow.rows`, read-only) and every count on it shares them; the
+prefix blocks of the residue table sit in one LRU bounded by _CACHE_CELLS
+cells in all, keyed by (a, b, c mod l, l, block); and `arith.factorize`,
+`arith.mult_functions` and `local_density_g` (per D and l) are memoised.
+Cached arrays are read-only, so no caller can change a later count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,13 +69,24 @@ class EllipseWindow:
     @classmethod
     def of(cls, f: Form, x) -> "EllipseWindow":
         xq = x if isinstance(x, Fraction) else Fraction(x)
-        V = math.sqrt(max(4 * f.a * xq / f.D, 0)) if xq > 0 else 0.0
+        # one correctly rounded int/int division, as float(4a xq / D) is
+        V = math.sqrt(4 * f.a * xq.numerator / (f.D * xq.denominator)) if xq > 0 else 0.0
         return cls(f=f, x=xq, V=V)
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kernel rows (v, lo, hi) of the window, computed once, read-only."""
+        rows = _rows(self.f, math.floor(self.x))
+        for r in rows:
+            r.setflags(write=False)
+        return rows
 
 
 _EXACT_FLOAT = 1 << 52   # every integer below this is an exact float64
 _INT64_ROWS = 1 << 62    # T below this keeps v, lo, hi and their sums in int64
+_MAX_ELL = 1 << 21       # the l^2 residue scan's products stay below l^3 < 2^63
 _TABLE_CELLS = 1 << 16   # residue pairs (ubar, vbar) per block of the root table
+_CACHE_CELLS = 1 << 20   # cells of all memoised prefix blocks together
 
 
 def _rows(f: Form, X: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,15 +151,57 @@ def r_f(f: Form, n: int) -> int:
 
 def count_A(window: EllipseWindow) -> int:
     """|A| = #{(u,v) : f(u,v) <= x}, origin included."""
-    _, lo, hi = _rows(window.f, math.floor(window.x))
+    _, lo, hi = window.rows
     return int((hi - lo + 1).sum())
 
 
 def _require_squarefree(ell: int) -> None:
     if ell < 1:
         raise ValueError("modulus must be >= 1")
+    if ell >= _MAX_ELL:
+        raise ValueError(f"modulus {ell} too large: the l^2 residue scan needs l < 2^21")
     if not mult_functions(ell).squarefree:
         raise ValueError(f"modulus {ell} is not squarefree")
+
+
+class _BlockMemo:
+    """Prefix blocks of the residue table, least recently used out first.
+
+    Block (start, height) holds P[vbar, t] for start <= vbar < start + height;
+    it is keyed by the residues of (a, b, c) mod l, l, start and height, and
+    stored read-only.  The kept blocks hold at most _CACHE_CELLS cells in all;
+    a block larger than that is built and not kept.
+    """
+
+    def __init__(self):
+        self.blocks: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self.cells = 0
+
+    def __call__(self, a: int, b: int, c: int, ell: int, start: int,
+                 height: int) -> np.ndarray:
+        key = (a, b, c, ell, start, height)
+        P = self.blocks.get(key)
+        if P is not None:
+            self.blocks.move_to_end(key)
+            return P
+        r = np.arange(ell, dtype=np.int64)
+        w = r[start:start + height, None]
+        P = np.zeros((height, ell + 1), dtype=np.int32)   # entries <= l < 2^21
+        np.cumsum((a * r * r + b * w * r + c * w * w) % ell == 0, axis=1, out=P[:, 1:])
+        P.setflags(write=False)
+        if P.size <= _CACHE_CELLS:
+            self.blocks[key] = P
+            self.cells += P.size
+            while self.cells > _CACHE_CELLS:
+                self.cells -= self.blocks.popitem(last=False)[1].size
+        return P
+
+    def cache_clear(self) -> None:
+        self.blocks.clear()
+        self.cells = 0
+
+
+_prefix_block = _BlockMemo()
 
 
 def _residue_rows(window: EllipseWindow, ell: int):
@@ -149,27 +211,32 @@ def _residue_rows(window: EllipseWindow, ell: int):
     u below n is F(n) = (n // l) P[vbar, l] + P[vbar, n mod l] for every
     integer n, and a row holds F(hi + 1) - F(lo) of them.  P comes from a scan
     of all l^2 residue pairs (products stay below l^3 < 2^63), a block of
-    vbar at a time so that memory stays bounded for large l.
+    vbar at a time so that memory stays bounded for large l; the blocks are
+    memoised by `_prefix_block`.  The caller checks l (`_require_squarefree`).
     """
-    if ell >= 1 << 21:
-        raise ValueError(f"modulus {ell} too large: the l^2 residue scan needs l < 2^21")
     f = window.f
     a, b, c = f.a % ell, f.b % ell, f.c % ell
-    v, lo, hi = _rows(f, math.floor(window.x))
-    r = np.arange(ell, dtype=np.int64)
+    v, lo, hi = window.rows
     vbar = v % ell
-    counts = np.empty_like(v)
     step = max(1, _TABLE_CELLS // ell)
-    for start in range(0, ell, step):
-        sel = np.flatnonzero((vbar >= start) & (vbar < start + step))
-        if len(sel):
-            w = r[start:start + step, None]
-            P = np.zeros((len(w), ell + 1), dtype=np.int64)
-            np.cumsum((a * r * r + b * w * r + c * w * w) % ell == 0, axis=1, out=P[:, 1:])
-            k, l, h = vbar[sel] - start, lo[sel], hi[sel]
-            counts[sel] = (((h + 1) // ell - l // ell) * P[k, ell]
-                           + P[k, (h + 1) % ell] - P[k, l % ell])
+    if step >= ell:  # one block holds the whole table
+        return v, lo, hi, _block_counts(_prefix_block(a, b, c, ell, 0, ell), vbar, lo, hi)
+    counts = np.empty_like(v)
+    blocks = vbar // step
+    for blk in np.unique(blocks).tolist():  # the blocks that some row falls in
+        sel = np.flatnonzero(blocks == blk)
+        start = blk * step
+        P = _prefix_block(a, b, c, ell, start, min(step, ell - start))
+        counts[sel] = _block_counts(P, vbar[sel] - start, lo[sel], hi[sel])
     return v, lo, hi, counts
+
+
+def _block_counts(P: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    # F(hi + 1) - F(lo) per row, with row k of the block P holding vbar's prefix
+    ell = P.shape[1] - 1
+    q1, r1 = np.divmod(hi + 1, ell)
+    q0, r0 = np.divmod(lo, ell)
+    return (q1 - q0) * P[k, ell] + P[k, r1] - P[k, r0]
 
 
 def count_A_ell(window: EllipseWindow, ell: int) -> int:
@@ -258,7 +325,10 @@ def count_congruence(window: EllipseWindow, ell: int) -> CongruenceCount:
     rset = root_set(window.f, ell)
     v, lo, hi, counts = _residue_rows(window, ell)
     g = np.gcd(v, ell)
-    a_by_d = {d: int(counts[g == d].sum()) for d in divisors(ell)}
+    divs = divisors(ell)
+    by_d = np.zeros(len(divs), dtype=np.int64)
+    np.add.at(by_d, np.searchsorted(divs, g), counts)
+    a_by_d = dict(zip(divs, by_d.tolist()))
     coprime = g == 1
     v, lo, hi = v[coprime], lo[coprime], hi[coprime]
     b_by_m = {m: int(_count_in(lo, hi, m * v % ell, ell).sum()) for m in rset.roots}
@@ -289,10 +359,16 @@ def local_density_g(f: Form, ell: int) -> Fraction:
     """g(l) = prod_{p|l} (1 + chi(p) - chi(p)/p)/p as an exact rational."""
     if not is_primitive(f):
         raise ValueError("local density is defined for primitive forms")
+    return _local_density_g(f.D, ell)
+
+
+@lru_cache(maxsize=1 << 12)
+def _local_density_g(D: int, ell: int) -> Fraction:
+    # g depends on f only through chi = chi_{-D}
     _require_squarefree(ell)
     g = Fraction(1)
     for p, _ in factorize(ell).factors:
-        chi = kronecker(-f.D, p)
+        chi = kronecker(-D, p)
         g *= Fraction(p + chi * p - chi, p * p)
     return g
 

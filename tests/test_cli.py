@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,46 @@ def test_count_command(capsys):
     assert code == 0 and "A_ell = 37" in out
     code, _, _ = run_cli(capsys, "count", "1", "0", "1", "25", "--ell", "4")
     assert code == 2
+
+
+def test_count_rejects_large_modulus_at_once():
+    # l >= 2^21 is rejected before any O(l) work (factorising, the root scan)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "bqfsieve.cli", "count", "1", "1", "1",
+                           "100", "--ell", "1000000007"],
+                          capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == 2
+    assert "too large" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_count_local_density_reuses_exact(capsys, monkeypatch):
+    from bqfsieve import lattice
+
+    def recount(*args):
+        raise AssertionError("|A_l| counted a second time")
+
+    code, want, _ = run_cli(capsys, "count", "2", "1", "3", "1000", "--ell", "30")
+    monkeypatch.setattr(lattice, "count_A_ell", recount)
+    code, out, _ = run_cli(capsys, "count", "2", "1", "3", "1000", "--ell", "30")
+    assert code == 0 and out == want
+
+
+@pytest.mark.parametrize("argv", [
+    # "--" keeps argparse from reading a positional "-inf" as an option
+    ("count", "1", "1", "1", "--", "{}"),
+    ("pif", "1", "1", "1", "--", "{}"),
+    ("pif", "1", "1", "1", "100", "--interval={}"),
+    ("sieve", "1", "1", "1", "--", "{}"),
+    ("sieve", "1", "1", "1", "1000", "--y={}"),
+])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_x_and_y_exit_2(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(value) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be a finite number" in err and repr(value) in err
 
 
 def test_pif_command(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bqfsieve import lattice
+from bqfsieve import arith, lattice
 from bqfsieve.arith import kronecker, mult_functions
-from bqfsieve.forms import Form, enumerate_class_set, is_reduced, scale_form
+from bqfsieve.forms import (Form, enumerate_class_set, is_discriminant, is_reduced,
+                            scale_form)
 from bqfsieve.lattice import (EllipseWindow, _rows, count_A, count_A_ell, count_B_ell,
                               count_congruence, local_density_g,
                               local_density_report, r_f, root_set, sqrt_average,
@@ -192,14 +194,96 @@ def test_count_congruence_brute(ell):
 
 def test_count_congruence_in_residue_blocks(monkeypatch):
     # a large l scans its residue table a block of v residues at a time;
-    # blocks of 7 cells force that path at small l
-    monkeypatch.setattr(lattice, "_TABLE_CELLS", 7)
-    for f in (Form(1, 0, 1), Form(2, 1, 3)):
-        for ell in (1, 2, 6, 15, 30):
-            cc = count_congruence(EllipseWindow.of(f, 150), ell)
-            a_ell, by_d, b_ell = brute_congruence(f, 150, ell)
-            assert cc.a_ell == a_ell and cc.b_ell == b_ell
-            assert {d: n for d, n in cc.a_ell_by_d.items() if n} == by_d
+    # blocks of 7 or 12 cells force that path at small l (blocks of two rows
+    # at l = 3 and l = 5, one row at l >= 6), even after whole tables of the
+    # same l have been memoised
+    ells = (1, 2, 3, 5, 6, 15, 30)
+    windows = [EllipseWindow.of(f, 150) for f in (Form(1, 0, 1), Form(2, 1, 3))]
+    for w in windows:
+        for ell in ells:
+            count_congruence(w, ell)
+    memo, read = lattice._prefix_block, []
+
+    def spy(*key):
+        P = memo(*key)
+        read.append((key[3], P.shape))
+        return P
+
+    monkeypatch.setattr(lattice, "_prefix_block", spy)
+    for cells in (7, 12):
+        monkeypatch.setattr(lattice, "_TABLE_CELLS", cells)
+        read.clear()
+        for w in windows:
+            for ell in ells:
+                cc = count_congruence(EllipseWindow.of(w.f, 150), ell)
+                a_ell, by_d, b_ell = brute_congruence(w.f, 150, ell)
+                assert cc.a_ell == a_ell and cc.b_ell == b_ell
+                assert {d: n for d, n in cc.a_ell_by_d.items() if n} == by_d
+        assert {ell for ell, _ in read} == set(ells)
+        for ell, (height, width) in read:
+            assert width == ell + 1 and height * ell <= max(cells, ell), (ell, height)
+
+
+@given(reduced_forms(),
+       st.one_of(st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(10**15)),
+                 st.floats(min_value=0, max_value=1e300, exclude_min=True)))
+@settings(max_examples=300, deadline=None)
+def test_window_V_bit_identical_to_fraction_path(f, x):
+    V = EllipseWindow.of(f, x).V
+    assert V == math.sqrt(float(4 * f.a * Fraction(x) / f.D))
+
+
+def test_cached_rows_and_blocks_are_read_only():
+    w = EllipseWindow.of(Form(2, 1, 3), 100)
+    assert w.rows is w.rows
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.rows = _rows(w.f, 100)
+    for r in w.rows:
+        with pytest.raises(ValueError):
+            r[0] = 0
+    count_congruence(w, 30)
+    assert lattice._prefix_block.blocks
+    for P in lattice._prefix_block.blocks.values():
+        with pytest.raises(ValueError):
+            P[0, 0] = 1
+
+
+def test_block_memo_stays_within_its_cell_bound():
+    # one residue block per row at l near 2^20; those below 2^20 are kept
+    # (l + 1 cells each) and push each other out, those above are not kept
+    w = EllipseWindow.of(Form(1, 0, 1), 10)
+    memo = lattice._prefix_block
+    for ell in (1048549, 1048571, 1048573, 1048583, 1048589):
+        assert count_A_ell(w, ell) == 1  # 0 < f <= 10 < l: only the origin
+        assert count_B_ell(w, ell) == 0  # and gcd(0, l) = l
+        assert 0 < memo.cells <= lattice._CACHE_CELLS
+        assert memo.cells == sum(P.size for P in memo.blocks.values())
+        kept = {key[3] for key in memo.blocks}
+        assert (ell in kept) == (ell + 1 <= lattice._CACHE_CELLS)
+
+
+def test_cold_and_warm_caches_agree():
+    ells = [l for l in range(1, 31) if mult_functions(l).squarefree]
+    cases = [(f, ell) for D in range(3, 61) if is_discriminant(D)
+             for f in enumerate_class_set(D) for ell in ells]
+    caches = (lattice._prefix_block, lattice._local_density_g, arith.factorize,
+              arith.mult_functions)
+
+    def run(cold):
+        out = []
+        for f, ell in cases:
+            if cold:
+                for cache in caches:
+                    cache.cache_clear()
+            w = EllipseWindow.of(f, 1000)
+            cc = count_congruence(w, ell)
+            rep = local_density_report(w, ell)
+            out.append((cc.counts, cc.roots.roots, rep, count_B_ell(w, ell)))
+        return out
+
+    cold = run(cold=True)
+    assert run(cold=False) == cold
+    assert run(cold=False) == cold
 
 
 def test_change_of_variables_identity():
