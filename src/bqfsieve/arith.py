@@ -1,18 +1,25 @@
 """Exact integer arithmetic primitives shared by every other module.
 
 Provides the Kronecker symbol (m/n) with its standard extension to even and
-non-positive n, an Eratosthenes prime table, trial-division factorization and
-the small multiplicative functions (mu, phi, tau, tau_3, omega, Omega) that
-the congruence-sum and sieve machinery consume.  Everything here is exact:
-Python integers throughout, no floating point.  `factorize` and
-`mult_functions` are pure and return frozen values, so both are memoised.
+non-positive n, trial-division factorization, the small multiplicative
+functions (mu, phi, tau, tau_3, omega, Omega) that the congruence-sum and
+sieve machinery consume, and the package's one prime table: `sieve_primes`
+is its one Eratosthenes kernel, and the shared mask (`prime_table`, presized
+by a sweep), the spf table (int32, as far as asked) and the Omega table
+(filled in spf blocks) are read-only and grow to max(request, 2 x current),
+never past MASK_CAP cells.  `primes_upto` gives Python ints, so no numpy
+scalar reaches a Fraction, a cache key or pow.  `factorize` and
+`mult_functions` are memoised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "PrimeTable",
@@ -24,49 +31,116 @@ __all__ = [
     "mult_functions",
     "divisors",
     "is_prime",
-    "shared_prime_table",
+    "prime_table",
+    "primes_upto",
+    "spf_upto",
+    "big_omega_upto",
 ]
 
 
-@dataclass(frozen=True)
+MASK_CAP = 2 * 10**8   # cells of each shared table
+
+
+@dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """Primes up to `limit`, as a bit-indexed predicate plus an ascending list."""
+    """Primes up to `limit`: a read-only bool mask, and the primes as a tuple
+    of ints, derived from the mask on first use."""
 
     limit: int
-    is_prime: bytes
-    primes: tuple[int, ...]
+    mask: np.ndarray
 
     def __contains__(self, n: int) -> bool:
         if 0 <= n <= self.limit:
-            return self.is_prime[n] == 1
+            return bool(self.mask[n])
         raise ValueError(f"{n} outside table limit {self.limit}")
 
     def count(self) -> int:
-        return len(self.primes)
+        return int(np.count_nonzero(self.mask))
+
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.mask).tolist())
 
 
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to `limit` inclusive."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    primes = tuple(i for i in range(2, limit + 1) if flags[i])
-    return PrimeTable(limit=limit, is_prime=bytes(flags), primes=primes)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    mask[4::2] = False
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if mask[p]:
+            mask[p * p :: 2 * p] = False
+    mask.setflags(write=False)
+    return PrimeTable(limit=limit, mask=mask)
 
 
-_shared_table: PrimeTable | None = None
+_table: PrimeTable | None = None
+_spf = np.zeros(0, dtype=np.int32)
+_omega = np.zeros(0, dtype=np.uint8)
 
 
-def shared_prime_table(limit: int) -> PrimeTable:
-    """Process-wide cached prime table, regrown on demand."""
-    global _shared_table
-    if _shared_table is None or _shared_table.limit < limit:
-        _shared_table = sieve_primes(max(limit, 1 << 16))
-    return _shared_table
+def _grown(have: int, want: int, what: str) -> int:
+    # the one growth rule: a table up to `have`, short of `want`, grows to
+    # max(want, 2 have), never past MASK_CAP
+    if want > MASK_CAP:
+        raise ValueError(f"{what} limited to 2e8; use a smaller x")
+    return min(max(want, 2 * have), MASK_CAP)
+
+
+def prime_table(limit: int) -> PrimeTable:
+    """The shared table, covering at least 0..limit; it grows only by
+    calling `sieve_primes`, and never below 2^16."""
+    global _table
+    if _table is None or _table.limit < limit:
+        have = _table.limit if _table is not None else 0
+        _table = sieve_primes(max(_grown(have, limit, "prime mask"), 1 << 16))
+    return _table
+
+
+def primes_upto(n: int) -> list[int]:
+    """The primes <= n, ascending, as Python ints read from the shared mask."""
+    return np.flatnonzero(prime_table(n).mask[: n + 1]).tolist() if n >= 2 else []
+
+
+def _spf_block(lo: int, hi: int) -> np.ndarray:
+    """Smallest prime factors spf(m) for lo <= m < hi as int32, sieved by the
+    primes <= sqrt(hi - 1); spf(0) = 0 and spf(1) = 1."""
+    spf = np.arange(lo, hi, dtype=np.int32)
+    for p in reversed(primes_upto(math.isqrt(hi - 1))):
+        # descending p, so the smallest prime dividing m writes last
+        spf[max(p * p, -(-lo // p) * p) - lo :: p] = p
+    spf.setflags(write=False)
+    return spf
+
+
+def spf_upto(n: int) -> np.ndarray:
+    """The shared spf(m) for m = 0..M, M >= n, grown only as far as asked."""
+    global _spf
+    if len(_spf) <= n:
+        _spf = _spf_block(0, _grown(len(_spf) - 1, n, "spf table") + 1)
+    return _spf
+
+
+def big_omega_upto(n: int) -> np.ndarray:
+    """Omega(m), prime factors with multiplicity, for m = 0..M, M >= n
+    (shared, uint8).  Omega(m) = Omega(m / spf(m)) + 1 fills one spf block
+    [lo, hi), hi <= 2 lo, at a time, as m / spf(m) < lo; growth keeps the
+    filled prefix."""
+    global _omega
+    have = len(_omega)
+    if have <= n:
+        omega = np.zeros(_grown(have - 1, n, "Omega table") + 1, dtype=np.uint8)
+        omega[:have] = _omega
+        lo = max(have, 2)
+        while lo < len(omega):
+            hi = min(2 * lo, lo + (1 << 20), len(omega))
+            omega[lo:hi] = omega[np.arange(lo, hi) // _spf_block(lo, hi)] + 1
+            lo = hi
+        omega.setflags(write=False)
+        _omega = omega
+    return _omega
 
 
 def kronecker(m: int, n: int) -> int:
@@ -132,9 +206,13 @@ def factorize(n: int) -> Factorization:
         raise ValueError("n must be >= 1")
     factors = []
     rem = n
-    table = shared_prime_table(min(max(math.isqrt(n), 2), 1 << 22))
-    for p in table.primes:
-        if p * p > rem:
+    root = math.isqrt(n)
+    bound = min(root, 1 << 22)
+    odd = bound + 1 + bound % 2
+    # the table's primes, then (for n > 2^44) odd q past them unless the
+    # cofactor left is prime
+    for p in chain(primes_upto(bound), range(odd, root + 1, 2)):
+        if p * p > rem or (p == odd and is_prime(rem)):
             break
         if rem % p == 0:
             e = 0
@@ -143,19 +221,7 @@ def factorize(n: int) -> Factorization:
                 e += 1
             factors.append((p, e))
     if rem > 1:
-        if p * p <= rem and not is_prime(rem):
-            # table exhausted before sqrt(rem): finish by odd trial division
-            q = table.limit + (table.limit % 2 == 0)
-            while q * q <= rem:
-                if rem % q == 0:
-                    e = 0
-                    while rem % q == 0:
-                        rem //= q
-                        e += 1
-                    factors.append((q, e))
-                q += 2
-        if rem > 1:
-            factors.append((rem, 1))
+        factors.append((rem, 1))
     return Factorization(n=n, factors=tuple(factors))
 
 

@@ -25,14 +25,13 @@ this module to the reduced-form enumeration and is the main cross-check.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import bernoulli, digamma
 
-from .arith import shared_prime_table
+from .arith import primes_upto, spf_upto
 from .forms import Form, is_discriminant, unit_count
 from .lattice import local_density_g
 
@@ -74,7 +73,7 @@ def _chi_period(D: int) -> np.ndarray:
     if D > _CHI_D_MAX:
         raise ValueError(f"D = {D} is too large for the int64 Euler criterion")
     n = np.arange(D + 1)
-    spf = _smallest_prime_factor(D)[: D + 1]
+    spf = spf_upto(D)[: D + 1].astype(np.int64)  # the dtype of n, for the loops below
     chi = np.zeros(D + 1, dtype=np.int8)
     chi[1] = 1
     p = n[3:][spf[3:] == n[3:]]
@@ -370,38 +369,15 @@ def sum_local_densities(f: Form, z: float) -> LocalDensitySum:
     if N >= 1:
         g = np.zeros(N + 1, dtype=np.float64)
         g[1] = 1.0
-        if N >= 2:
-            primes = shared_prime_table(N).primes
-            primes = primes[:bisect_right(primes, N)]
-            gp = {p: float(local_density_g(f, p)) for p in primes}
-            spf = _smallest_prime_factor(N)
-            for n in range(2, N + 1):
-                p = spf[n]
-                g[n] = g[n // p] * gp[p]
+        gp = {p: float(local_density_g(f, p)) for p in primes_upto(N)}
+        spf = spf_upto(N)[: N + 1].tolist()
+        for n in range(2, N + 1):
+            p = spf[n]
+            g[n] = g[n // p] * gp[p]
         total = float(np.sum(g))
     lv = L_values(D)
     main = lv.L1 * math.log(z) + lv.L1_prime if z > 1 else lv.L1_prime
     return LocalDensitySum(sum=total, main=main, residual=total - main)
-
-
-_spf_cache: dict[int, np.ndarray] = {}
-
-
-def _smallest_prime_factor(N: int) -> np.ndarray:
-    """spf(n) for n = 0..M with M >= N; the table grows x2, so an ascending
-    run of N rebuilds it O(log N) times."""
-    for lim, tab in _spf_cache.items():
-        if lim >= N:
-            return tab
-        N = max(N, 2 * lim)
-    spf = np.arange(N + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(N) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            sl[sl == np.arange(p * p, N + 1, p)] = p
-    _spf_cache.clear()
-    _spf_cache[N] = spf
-    return spf
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,8 @@ def cmd_classgroup(args) -> int:
 
 def cmd_count(args) -> int:
     f = _parse_form(args)
+    if not is_primitive(f):  # checked before any count, for the density below
+        raise ValueError("local density is defined for primitive forms")
     window = EllipseWindow.of(f, args.x)
     cc = count_congruence(window, args.ell)
     rep = local_density_report(window, args.ell, exact=cc.a_ell)

@@ -22,8 +22,10 @@ One cache policy covers the counts: a window computes its rows once
 (`EllipseWindow.rows`, read-only) and every count on it shares them; the
 prefix blocks of the residue table sit in one LRU bounded by _CACHE_CELLS
 cells in all, keyed by (a, b, c mod l, l, block); and `arith.factorize`,
-`arith.mult_functions` and `local_density_g` (per D and l) are memoised.
-Cached arrays are read-only, so no caller can change a later count.
+`arith.mult_functions`, `local_density_g` (per D and l) and the roots of f
+mod each prime are memoised.
+The primes come from the one prime table in `arith`.  Cached arrays are
+read-only, so no caller can change a later count.
 """
 
 from __future__ import annotations
@@ -269,8 +271,15 @@ class RootSet:
         return len(self.roots)
 
 
+@lru_cache(maxsize=1 << 12)
+def _prime_roots(a: int, b: int, c: int, p: int) -> tuple[int, ...]:
+    m = np.arange(p, dtype=np.int64)
+    return tuple(np.flatnonzero(((a * m + b) * m + c) % p == 0).tolist())
+
+
 def root_set(f: Form, ell: int) -> RootSet:
-    """Roots found by an O(p) scan per prime factor, combined by CRT."""
+    """Roots found per prime factor p by one int64 scan of m < p (memoised by
+    f mod p; (a m + b) m + c < p^3 < 2^63 as p < 2^21), combined by CRT."""
     _require_squarefree(ell)
     if ell == 1:
         return RootSet(f=f, ell=1, roots=(0,))
@@ -278,16 +287,10 @@ def root_set(f: Form, ell: int) -> RootSet:
     roots = [0]
     mod = 1
     for p in factors:
-        a, b, c = f.a % p, f.b % p, f.c % p
-        p_roots = [m for m in range(p) if (a * m * m + b * m + c) % p == 0]
-        new_roots = []
+        p_roots = _prime_roots(f.a % p, f.b % p, f.c % p, p)
         # CRT: x = r (mod), x = rp (p); gcd(mod, p) = 1 as l is squarefree
         inv = pow(mod, -1, p)
-        for r in roots:
-            for rp in p_roots:
-                t = ((rp - r) * inv) % p
-                new_roots.append(r + mod * t)
-        roots = new_roots
+        roots = [r + mod * ((rp - r) * inv % p) for r in roots for rp in p_roots]
         mod *= p
     return RootSet(f=f, ell=ell, roots=tuple(sorted(roots)))
 

@@ -18,19 +18,22 @@ scale the (log y)^7 factor keeps z barely above 1, so the system is usually
 the degenerate l = 1 one and the bound reduces to 2 pi y / sqrt(D) plus the
 exact remainder, and the sifted count is the l = 1 interval count itself.
 The machinery is exercised at larger z by the tests.
+
+Primes, the prime mask and Omega come from the one table in `arith` (grown to
+max(request, 2 x current), capped at MASK_CAP); this module keeps none.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import mult_functions, shared_prime_table
+from . import arith
+from .arith import big_omega_upto, mult_functions, prime_table, primes_upto
 from .characters import L_values, sum_local_densities
 from .forms import Form, delta_f, enumerate_class_set, is_primitive, is_reduced
 from .lattice import (EllipseWindow, _rows, count_A_ell, local_density_g,
@@ -50,33 +53,18 @@ __all__ = [
     "prime_count_upto",
 ]
 
-MASK_CAP = 2 * 10**8
-_prime_mask: np.ndarray | None = None
 
-
-def _prime_mask_upto(limit: int) -> np.ndarray:
-    """Cached boolean array: mask[n] iff n prime, n <= limit."""
-    global _prime_mask
-    if limit > MASK_CAP:
-        raise ValueError("prime mask limited to 2e8; use a smaller x")
-    if _prime_mask is None or len(_prime_mask) <= limit:
-        n = max(limit, 1 << 16)
-        mask = np.ones(n + 1, dtype=bool)
-        mask[:2] = False
-        for p in range(2, math.isqrt(n) + 1):
-            if mask[p]:
-                mask[p * p :: p] = False
-        _prime_mask = mask
-    return _prime_mask
+def __getattr__(name: str):
+    # `_prime_mask` aliases the shared mask for bench/tracer.py's rebuild
+    # count, until ROADMAP item 4 moves tracing into the library
+    if name == "_prime_mask":
+        return arith._table and arith._table.mask
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def prime_count_upto(z: float) -> int:
     """pi(z), exact."""
-    n = math.floor(z)
-    if n < 2:
-        return 0
-    mask = _prime_mask_upto(n)
-    return int(np.count_nonzero(mask[: n + 1]))
+    return len(primes_upto(math.floor(z)))
 
 
 def pi_f(f: Form, x) -> int:
@@ -86,7 +74,7 @@ def pi_f(f: Form, x) -> int:
     X = math.floor(x)
     if X < 2:
         return 0
-    mask = _prime_mask_upto(X)  # first: an x above the cap fails before the bitmap
+    mask = prime_table(X).mask  # first: an x above the cap fails before the bitmap
     rep = value_bitmap(f, X)
     return int(np.count_nonzero(rep & mask[: X + 1]))
 
@@ -103,8 +91,7 @@ def sifted_interval_count(f: Form, x, y, z) -> int:
     if y == 0:
         return 0
     lo_val = math.floor(x - y) + 1
-    primes = shared_prime_table(max(math.floor(z), 2)).primes
-    small_primes = primes[:bisect_right(primes, z)]
+    small_primes = primes_upto(math.floor(z))
     a, b, c = f.a, f.b, f.c
     total = 0
     for v, lo, hi in zip(*(r.tolist() for r in _rows(f, math.floor(x)))):
@@ -148,28 +135,16 @@ def selberg_system(f: Form, z: float) -> SelbergSystem:
 
 
 def _build_system(f: Form, z: float) -> SelbergSystem:
-    primes = shared_prime_table(max(math.floor(z), 2)).primes
-    primes = primes[:bisect_right(primes, z)]
+    primes = primes_upto(math.floor(z))
     gp = {p: local_density_g(f, p) for p in primes}
     support = _squarefree_products(primes, z)
-    h: dict[int, Fraction] = {}
-    for d in support:
-        val = Fraction(1)
-        for p in primes:
-            if d % p == 0:
-                val *= gp[p] / (1 - gp[p])
-        h[d] = val
+    h = {d: math.prod((gp[p] / (1 - gp[p]) for p in primes if d % p == 0),
+                      start=Fraction(1)) for d in support}
     J = sum(h.values(), Fraction(0))
     lambdas: dict[int, Fraction] = {}
     for d in support:
-        g_d = Fraction(1)
-        mu = 1
-        for p in primes:
-            if d % p == 0:
-                g_d *= gp[p]
-                mu = -mu
         J_d = sum(h[m] for m in support if m * d < z and math.gcd(m, d) == 1)
-        lam = mu * (h[d] / g_d) * J_d / J
+        lam = mult_functions(d).mu * (h[d] / local_density_g(f, d)) * J_d / J
         if abs(lam) > 1:
             raise RuntimeError(f"Selberg weight lambda_{d} = {lam} escaped [-1, 1]")
         lambdas[d] = lam
@@ -330,27 +305,6 @@ def selberg_upper_bound(params: SieveParams) -> SieveReport:
                        degenerate_L_branch=degenerate, bounds=tb)
 
 
-_omega_cache: dict[int, np.ndarray] = {}
-
-
-def _big_omega_upto(limit: int) -> np.ndarray:
-    """Omega(n) (prime factors with multiplicity) for n = 0..limit."""
-    for lim, tab in _omega_cache.items():
-        if lim >= limit:
-            return tab
-    omega = np.zeros(limit + 1, dtype=np.uint8)
-    for p in shared_prime_table(max(limit, 2)).primes:
-        if p > limit:
-            break
-        pk = p
-        while pk <= limit:
-            omega[pk::pk] += 1
-            pk *= p
-    _omega_cache.clear()
-    _omega_cache[limit] = omega
-    return omega
-
-
 def count_almost_primes(f: Form, x, k: int) -> int:
     """Distinct 1 <= n <= x represented by f with Omega(n) <= k."""
     if k < 1:
@@ -358,7 +312,6 @@ def count_almost_primes(f: Form, x, k: int) -> int:
     X = math.floor(x)
     if X < 1:
         return 0
+    omega = big_omega_upto(X)  # first: an x above the cap fails before the bitmap
     rep = value_bitmap(f, X)
-    rep[0] = False
-    omega = _big_omega_upto(X)
-    return int(np.count_nonzero(rep & (omega[: X + 1] <= k)))
+    return int(np.count_nonzero(rep[1:] & (omega[1 : X + 1] <= k)))

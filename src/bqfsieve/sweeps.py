@@ -17,16 +17,17 @@ and skip the heavy counting entirely.
 from __future__ import annotations
 
 import ast
+import contextlib
 import math
 import operator
 import random
 import time
 from dataclasses import dataclass
 
+from .arith import MASK_CAP, prime_table
 from .characters import family
 from .forms import Form, delta_f, enumerate_class_set
-from .sieve import (MASK_CAP, SieveParams, _prime_mask_upto, count_almost_primes,
-                    selberg_upper_bound)
+from .sieve import SieveParams, count_almost_primes, selberg_upper_bound
 
 __all__ = ["SweepConfig", "SweepRecord", "SweepSummary", "SweepResult",
            "RuleError", "run_sweep", "build_tasks", "eval_rule", "CSV_COLUMNS"]
@@ -246,8 +247,8 @@ def _run_row(args: tuple[RowTask, str, float, float, float, int]) -> SweepRecord
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    if cfg.mode != "almost" and cfg.x_max > MASK_CAP:
-        raise ValueError(f"x_max {cfg.x_max:g} exceeds the prime-mask cap {MASK_CAP:g}")
+    if cfg.x_max > MASK_CAP:
+        raise ValueError(f"x_max {cfg.x_max:g} exceeds the table cap {MASK_CAP:g}")
     tasks = build_tasks(cfg)
     start = time.monotonic()
     records: list[SweepRecord] = []
@@ -261,29 +262,23 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     # pi_f reads the prime mask up to each row's x: size it once, for the largest
     mask_x = (math.floor(max(job[0].x for job in live))
               if live and cfg.mode != "almost" else None)
+    pool, chunk, run = None, 1, map
     if cfg.jobs > 1 and len(live) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = 32
-        with ProcessPoolExecutor(max_workers=cfg.jobs,
-                                 initializer=_prime_mask_upto if mask_x else None,
-                                 initargs=(mask_x,)) as pool:
-            for i in range(0, len(live), chunk):
-                if cfg.time_budget is not None and time.monotonic() - start > cfg.time_budget:
-                    partial = True
-                    break
-                records.extend(pool.map(_run_row, live[i : i + chunk]))
-                done = i + chunk
-    else:
-        if mask_x:
-            _prime_mask_upto(mask_x)
-        for i, job in enumerate(live):
+        pool = ProcessPoolExecutor(max_workers=cfg.jobs,
+                                   initializer=prime_table if mask_x else None,
+                                   initargs=(mask_x,))
+        chunk, run = 32, pool.map
+    elif mask_x:
+        prime_table(mask_x)
+    with pool or contextlib.nullcontext():
+        for i in range(0, len(live), chunk):
             if cfg.time_budget is not None and time.monotonic() - start > cfg.time_budget:
                 partial = True
-                done = i
                 break
-            records.append(_run_row(job))
-            done = i + 1
+            records.extend(run(_run_row, live[i : i + chunk]))
+            done = i + chunk
     if partial:
         for job in live[done:]:
             records.append(_na_record(job[0], "skipped"))

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bqfsieve.arith import (Factorization, divisors, factorize, is_prime,
-                            kronecker, mult_functions, sieve_primes)
+from bqfsieve import arith
+from bqfsieve.arith import (Factorization, big_omega_upto, divisors, factorize,
+                            is_prime, kronecker, mult_functions, prime_table,
+                            primes_upto, sieve_primes, spf_upto)
 
 
 def brute_is_square_mod(m, p):
@@ -143,3 +146,127 @@ def test_miller_rabin_against_trial_division():
 def test_miller_rabin_large():
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) * (2**19 - 1))
+
+
+def test_factorize_beyond_the_trial_table():
+    # above 2^44 trial division by the table stops at 2^22 and continues by
+    # odd q; both factors here lie above 2^22
+    p = next(q for q in range(2**22 + 1, 2**23, 2) if is_prime(q))
+    q = next(r for r in range(p + 2, 2**23, 2) if is_prime(r))
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert factorize(p * p).factors == ((p, 2),)
+    assert factorize(2 * p * q).factors == ((2, 1), (p, 1), (q, 1))
+
+
+# --- the shared prime table ------------------------------------------------
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty set of shared tables, and a log of every sieve_primes build."""
+    monkeypatch.setattr(arith, "_table", None)
+    monkeypatch.setattr(arith, "_spf", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(arith, "_omega", np.zeros(0, dtype=np.uint8))
+    builds = []
+    kernel = arith.sieve_primes
+
+    def spy(limit):
+        builds.append(limit)
+        return kernel(limit)
+
+    monkeypatch.setattr(arith, "sieve_primes", spy)
+    return builds
+
+
+def uncached_factors(n):
+    return factorize.__wrapped__(n).factors
+
+
+def test_mask_against_miller_rabin(fresh_tables):
+    mask = prime_table(10**5).mask
+    assert [bool(v) for v in mask[: 10**5 + 1]] == [is_prime(n) for n in range(10**5 + 1)]
+    # across a growth boundary: the table built at 2^16 cells is rebuilt at
+    # max(request, 2 x current) and stays exact past the old limit
+    arith._table = None
+    fresh_tables.clear()
+    first = prime_table(1000)
+    assert first.limit == 1 << 16 and fresh_tables == [1 << 16]
+    grown = prime_table((1 << 16) + 10)
+    assert grown.limit == 1 << 17 and fresh_tables == [1 << 16, 1 << 17]
+    lo = (1 << 16) - 2000
+    assert ([bool(v) for v in grown.mask[lo:]]
+            == [is_prime(n) for n in range(lo, (1 << 17) + 1)])
+
+
+def test_prime_table_cap(fresh_tables):
+    with pytest.raises(ValueError, match="limited to 2e8"):
+        prime_table(arith.MASK_CAP + 1)
+    with pytest.raises(ValueError, match="limited to 2e8"):
+        big_omega_upto(arith.MASK_CAP + 1)
+    assert fresh_tables == [] and len(arith._omega) == 0
+
+
+def test_spf_and_omega_against_factorize(fresh_tables):
+    N = 10**5
+    spf = spf_upto(N)
+    omega = big_omega_upto(N)
+    assert spf[0] == 0 and spf[1] == 1 and omega[0] == 0 and omega[1] == 0
+    for n in range(2, N + 1):
+        fac = uncached_factors(n)
+        assert spf[n] == fac[0][0], n
+        assert omega[n] == sum(e for _, e in fac), n
+
+
+def test_spf_and_omega_blocks_straddling_2_20(fresh_tables):
+    lo, hi = 2**20 - 3000, 2**20 + 3000
+    block = arith._spf_block(lo, hi)
+    # Omega grown from a prefix: its next block [10^6 + 1, 2 10^6 + 1)
+    # straddles 2^20
+    big_omega_upto(10**6)
+    omega = big_omega_upto(10**6 + 1)
+    assert len(omega) == 2 * 10**6 + 1
+    for n in range(lo, hi):
+        fac = uncached_factors(n)
+        assert block[n - lo] == fac[0][0], n
+        assert omega[n] == sum(e for _, e in fac), n
+
+
+def test_tables_hold_python_ints_and_read_only_arrays(fresh_tables):
+    ps = primes_upto(1000)
+    assert tuple(ps) == sieve_primes(1000).primes and len(ps) == 168
+    assert all(type(p) is int for p in ps)
+    assert all(type(p) is int for p, _ in factorize(2**3 * 3 * 999983).factors)
+    assert primes_upto(1) == [] and primes_upto(2) == [2]
+    arrays = (prime_table(100).mask, sieve_primes(100).mask, spf_upto(100),
+              arith._spf_block(50, 100), big_omega_upto(100))
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[2] = 0
+
+
+def test_ascending_requests_rebuild_logarithmically(fresh_tables):
+    top = 2 * 10**6
+    spf = omega = None
+    spf_builds = omega_builds = 0
+    for n in range(1000, top + 1, 1000):
+        prime_table(n)
+        assert primes_upto(n // 100)[-1] <= n // 100
+        grown = spf_upto(n // 4), big_omega_upto(n // 4)
+        spf_builds += grown[0] is not spf
+        omega_builds += grown[1] is not omega
+        spf, omega = grown
+    # the mask: 2^16 cells, then doubled up to 2^21 >= top
+    assert fresh_tables == [1 << k for k in range(16, 22)]
+    # spf and Omega: up to 250, then doubled up to 512,000 >= top / 4
+    assert spf_builds == omega_builds == 12
+    assert len(spf) == len(omega) == 250 * 2**11 + 1
+
+
+def test_presized_sweep_builds_once(fresh_tables):
+    from bqfsieve.sweeps import SweepConfig, build_tasks, run_sweep
+
+    cfg = SweepConfig(Q=150, sample=30, seed=3)
+    res = run_sweep(cfg)
+    assert res.summary.passes > 0
+    x_top = max(t.x for t in build_tasks(cfg) if t.applicable)
+    assert x_top > 1 << 16 and fresh_tables == [math.floor(x_top)]

@@ -60,6 +60,19 @@ def test_count_rejects_large_modulus_at_once():
     assert "too large" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_count_non_primitive_fails_before_counting(capsys, monkeypatch):
+    from bqfsieve import cli
+
+    def count(*args):
+        raise AssertionError("counted a non-primitive form")
+
+    monkeypatch.setattr(cli, "count_congruence", count)
+    code, out, err = run_cli(capsys, "count", "65537", "65537", "65537", "100",
+                             "--ell", "65537")
+    assert code == 2 and out == ""
+    assert err == "error: local density is defined for primitive forms\n"
+
+
 def test_count_local_density_reuses_exact(capsys, monkeypatch):
     from bqfsieve import lattice
 
@@ -167,10 +180,14 @@ def test_verify_malformed_rule(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("xmax", ["3e8", "nan", "inf", "1"])
-def test_verify_rejects_bad_xmax(capsys, xmax):
+@pytest.mark.parametrize("xmax, mode", [("3e8", "full"), ("nan", "full"),
+                                        ("inf", "full"), ("1", "full"),
+                                        ("3e8", "almost")],
+                         ids=["3e8", "nan", "inf", "1", "3e8-almost"])
+def test_verify_rejects_bad_xmax(capsys, xmax, mode):
     # rejected before any worker starts, with a message instead of a traceback
-    code, _, err = run_cli(capsys, "verify", "--Q", "10", "--xmax", xmax, "--jobs", "2")
+    code, _, err = run_cli(capsys, "verify", "--Q", "10", "--xmax", xmax, "--jobs", "2",
+                           "--mode", mode)
     assert code == 2
     assert "x_max" in err and "Traceback" not in err
 

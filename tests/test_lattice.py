@@ -267,7 +267,7 @@ def test_cold_and_warm_caches_agree():
     cases = [(f, ell) for D in range(3, 61) if is_discriminant(D)
              for f in enumerate_class_set(D) for ell in ells]
     caches = (lattice._prefix_block, lattice._local_density_g, arith.factorize,
-              arith.mult_functions)
+              arith.mult_functions, lattice._prime_roots)
 
     def run(cold):
         out = []
@@ -329,6 +329,22 @@ def test_root_set_brute_and_formula():
                 assert rs.M == chi, (f, p)
             else:
                 assert rs.M == p, (f, p)
+
+
+def test_root_set_prime_near_2_21():
+    # the int64 scan at the largest admitted prime modulus: each root is
+    # checked by evaluating f, and M(p) = 1 + chi(p) as p divides neither a nor D
+    p = 2097143
+    assert arith.is_prime(p) and p < lattice._MAX_ELL
+    split = 0
+    for f in (Form(1, 1, 1), Form(1, 1, 6), Form(2, 1, 3), Form(1, 0, 5),
+              Form(3, 2, 5), Form(1, 1, 1000003)):
+        rs = root_set(f, p)
+        assert all(type(m) is int and 0 <= m < p for m in rs.roots)
+        assert all((f.a * m * m + f.b * m + f.c) % p == 0 for m in rs.roots)
+        assert rs.M == 1 + kronecker(-f.D, p), f
+        split += rs.M == 2
+    assert split >= 2
 
 
 def test_root_set_multiplicative():

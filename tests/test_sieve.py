@@ -282,3 +282,20 @@ def test_step0_inequality_on_sweep_rows():
             sifted = sifted_interval_count(f, x, x, params.z)
             rhs = sifted + unit_count(D) / delta_f(f) * prime_count_upto(params.z)
             assert lhs <= rhs, (D, f.triple(), x)
+
+
+def test_count_almost_primes_rejects_x_above_cap_before_allocating(monkeypatch):
+    import tracemalloc
+
+    def bitmap(*args):
+        raise AssertionError("value bitmap allocated above the cap")
+
+    monkeypatch.setattr(sieve, "value_bitmap", bitmap)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limited to 2e8"):
+            count_almost_primes(Form(1, 1, 6), 3e8, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
