@@ -8,12 +8,11 @@ Brun-Titchmarsh right-hand side plus the sieve-validity tally.
 """
 
 import argparse
-import csv
 import math
 import sys
 
-from bqfsieve.cli import _record_row
-from bqfsieve.sweeps import CSV_COLUMNS, SweepConfig, run_sweep
+from bqfsieve.cli import write_verify_csv
+from bqfsieve.sweeps import SweepConfig, run_sweep
 
 
 def main():
@@ -31,9 +30,7 @@ def main():
     res = run_sweep(cfg)
 
     with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        w.writerows(_record_row(r) for r in res.records)
+        write_verify_csv(fh, res.records)
 
     rows = [r for r in res.records if r.pass_ in ("0", "1")]
     ratios = sorted(r.exact_count / r.rhs_theorem for r in rows)

@@ -2,20 +2,23 @@
 
 Subcommands: reduce, classgroup, count, pif, sieve, verify, family.
 Exit codes: 0 on success, 2 on usage/validation errors, 3 when a verification
-sweep contains a failing row.  CSV output always carries a header row; floats
-are printed with 10 significant digits and booleans as 0/1.  JSON output is
-versioned under "schema": "bqf-sieve/1".  The environment variable
-BQF_THREADS overrides --jobs.
+sweep contains a failing row or a pool worker of `verify` or `family` dies.
+CSV output always carries a header row; floats are printed with 10
+significant digits and booleans as 0/1.  JSON output is versioned under
+"schema": "bqf-sieve/1".  The environment variable BQF_THREADS overrides
+--jobs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import __version__
 from .characters import average_exceptional_report
@@ -165,6 +168,13 @@ def _record_row(r: SweepRecord) -> list[str]:
             _fmt(r.theta_or_theta_prime), r.pass_, _fmt(r.runtime_ms)]
 
 
+def write_verify_csv(fh, records) -> None:
+    """The `bqf verify` CSV: the header, then one `_record_row` line per record."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(_record_row(r) for r in records)
+
+
 def cmd_verify(args) -> int:
     x_rule = args.x_rule
     if x_rule is None and args.x_exp is not None:
@@ -181,30 +191,23 @@ def cmd_verify(args) -> int:
                       time_budget=args.time_budget)
     result = run_sweep(cfg)
     s = result.summary
-    rows = [_record_row(r) for r in result.records]
-    if args.format == "json":
-        doc = {"schema": "bqf-sieve/1",
-               "config": {"Q": cfg.Q, "mode": cfg.mode, "phi": cfg.phi_mode,
-                          "epsilon": cfg.epsilon, "x_rule": cfg.x_rule,
-                          "y_rule": cfg.y_rule, "x_max": cfg.x_max, "k": cfg.k,
-                          "slack": cfg.slack, "seed": cfg.seed},
-               "columns": CSV_COLUMNS,
-               "rows": rows,
-               "summary": {"total": s.total, "passes": s.passes,
-                           "failures": s.failures,
-                           "not_applicable": s.not_applicable,
-                           "skipped": s.skipped, "max_ratio": s.max_ratio,
-                           "partial": s.partial}}
-        text = json.dumps(doc, indent=1)
-        _emit(text, args.out)
-    else:
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
-        _emit(buf.getvalue(), args.out, newline_end=False)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            doc = {"schema": "bqf-sieve/1",
+                   "config": {"Q": cfg.Q, "mode": cfg.mode, "phi": cfg.phi_mode,
+                              "epsilon": cfg.epsilon, "x_rule": cfg.x_rule,
+                              "y_rule": cfg.y_rule, "x_max": cfg.x_max, "k": cfg.k,
+                              "slack": cfg.slack, "seed": cfg.seed},
+                   "columns": CSV_COLUMNS,
+                   "rows": [_record_row(r) for r in result.records],
+                   "summary": {"total": s.total, "passes": s.passes,
+                               "failures": s.failures,
+                               "not_applicable": s.not_applicable,
+                               "skipped": s.skipped, "max_ratio": s.max_ratio,
+                               "partial": s.partial}}
+            fh.write(json.dumps(doc, indent=1) + "\n")
+        else:
+            write_verify_csv(fh, result.records)
     print("total=%d passes=%d failures=%d na=%d skipped=%d max_ratio=%s%s"
           % (s.total, s.passes, s.failures, s.not_applicable, s.skipped,
              _fmt(s.max_ratio), " [partial: time budget hit]" if s.partial else ""),
@@ -228,14 +231,6 @@ def cmd_family(args) -> int:
         print("-L'/L violators: %d (fraction %s)"
               % (rep.violators_L, _fmt(rep.fraction_L)))
     return EXIT_OK
-
-
-def _emit(text: str, out: str | None, newline_end: bool = True) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if not newline_end else text + "\n")
-    else:
-        sys.stdout.write(text if not newline_end else text + "\n")
 
 
 def _finite_float(text: str) -> float:
@@ -347,6 +342,9 @@ def main(argv=None) -> int:
     except (ValueError, RuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenExecutor as exc:  # a pool worker died: BrokenProcessPool
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

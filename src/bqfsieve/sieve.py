@@ -49,6 +49,7 @@ __all__ = [
     "selberg_upper_bound",
     "selberg_system",
     "theorem_rhs",
+    "full_range_x", "interval_min_y", "almost_range_x", "almost_rhs",
     "count_almost_primes",
     "prime_count_upto",
 ]
@@ -198,6 +199,26 @@ class TheoremBounds:
     conditional: bool   # phi = 0 rows assume GRH for chi_{-D}
 
 
+def full_range_x(D: int, a: int, phi_mode: float, epsilon: float) -> float:
+    """Smallest x in the Brun-Titchmarsh full range: (D^(1+4 phi)/a)^(1+epsilon)."""
+    return (D ** (1 + 4 * phi_mode) / a) ** (1 + epsilon)
+
+
+def interval_min_y(D: int, a: int, x, phi_mode: float, epsilon: float) -> float:
+    """Smallest y of the short-interval range: (D^(1+4 phi) x/a)^(1/2+epsilon)."""
+    return (D ** (1 + 4 * phi_mode) / a) ** (0.5 + epsilon) * x ** (0.5 + epsilon)
+
+
+def almost_range_x(D: int, a: int, k: int) -> float:
+    """Smallest x in the almost-prime theorem's range: (D/a)^(1+49/(5k-49)), k >= 10."""
+    return (D / a) ** (1 + 49 / (5 * k - 49))
+
+
+def almost_rhs(D: int, x) -> float:
+    """The almost-prime lower bound 0.5 x / (sqrt(D) log^2 x) at x."""
+    return 0.5 * x / (math.sqrt(D) * math.log(x) ** 2)
+
+
 @lru_cache(maxsize=4096)
 def _class_data(D: int) -> tuple[int, int]:
     cs = enumerate_class_set(D)
@@ -226,10 +247,8 @@ def theorem_rhs(f: Form, x, y, phi_mode: float, epsilon: float) -> TheoremBounds
     delta = delta_f(f)
     rhs_f = 4 / (1 - theta) * delta * x / (h * lx) if theta < 1 else math.nan
     rhs_i = 2 / (1 - theta_p) * delta * y / (h * ly) if theta_p < 1 else math.nan
-    x_threshold = (D ** (1 + 4 * phi) / a) ** (1 + epsilon)
-    y_threshold = (D ** (1 + 4 * phi) / a) ** (0.5 + epsilon) * x ** (0.5 + epsilon)
-    ok_full = x >= x_threshold
-    ok_interval = y_threshold <= y <= x
+    ok_full = x >= full_range_x(D, a, phi, epsilon)
+    ok_interval = interval_min_y(D, a, x, phi, epsilon) <= y <= x
     return TheoremBounds(theta=theta, theta_prime=theta_p,
                          rhs_full=rhs_f, rhs_interval=rhs_i,
                          range_ok_full=ok_full, range_ok_interval=ok_interval,

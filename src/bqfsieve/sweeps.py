@@ -1,33 +1,38 @@
 """Verification sweeps over discriminant families.
 
-A sweep walks every reduced primitive form of every discriminant -D with
-3 <= D <= Q, picks x (and y) per a power-law rule, evaluates the exact count
-(pi_f, interval pi_f, or almost-prime count per mode), the theorem right-hand
-side, and the Selberg report, and emits one SweepRecord per row.  Rows are
-computed in parallel but post-sorted by (D, a, b, c, x), so row content is
-independent of the parallelism level; runtime_ms is the one measured,
-non-reproducible column.
+A sweep walks the reduced primitive forms of the discriminants -D, 3 <= D <= Q,
+in (D, a, b, c) order and checks one theorem per row (pi_f, interval pi_f or
+the almost-prime count) against its right-hand side, as `sieve` states it.
 
-Row x-rule semantics: x = ceil(rule(D, a)) capped at x_max, with the rule
-defaulting to the theorem's own range threshold; rows that land outside the
-theorem's valid range (e.g. capped below it) carry the not-applicable marker
-and skip the heavy counting entirely.
+x = ceil(rule(D, a)) capped at x_max, the rule defaulting to the theorem's
+range threshold; rows outside the theorem's range (e.g. capped below it) are
+na and skip the counting.  Almost mode needs k >= 10 (5k - 49 > 0).  `sample`
+keeps the rows at sorted(Random(seed).sample(range(n), sample)), the rows that
+sampling the row list itself would pick, and only they get an x and a y.
+
+Rows run in key order, serially or on a process pool, so records do not
+depend on `jobs` (runtime_ms is the one measured column).  The time budget is
+checked before each row is taken; once it has run out, the remaining rows are
+skipped and pending pool work is cancelled.  A dead worker raises
+BrokenProcessPool (the CLI exits 3).
 """
 
 from __future__ import annotations
 
 import ast
-import contextlib
 import math
 import operator
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .arith import MASK_CAP, prime_table
 from .characters import family
 from .forms import Form, delta_f, enumerate_class_set
-from .sieve import SieveParams, count_almost_primes, selberg_upper_bound
+from .sieve import (SieveParams, almost_range_x, almost_rhs, count_almost_primes,
+                    full_range_x, interval_min_y, selberg_upper_bound)
 
 __all__ = ["SweepConfig", "SweepRecord", "SweepSummary", "SweepResult",
            "RuleError", "run_sweep", "build_tasks", "eval_rule", "CSV_COLUMNS"]
@@ -72,6 +77,11 @@ def _eval_node(node: ast.AST, ns: dict[str, float]) -> float:
     raise ValueError(f"{type(node).__name__} is not allowed")
 
 
+@lru_cache(maxsize=8)
+def _parsed(expr: str) -> ast.AST:
+    return ast.parse(expr, "<rule>", mode="eval").body
+
+
 def eval_rule(expr: str, D: int, a: int, phi: float, epsilon: float) -> float:
     """Evaluate a power-law rule over (D, a) in floats.
 
@@ -81,7 +91,7 @@ def eval_rule(expr: str, D: int, a: int, phi: float, epsilon: float) -> float:
     """
     ns = {"D": float(D), "a": float(a), "phi": float(phi), "epsilon": float(epsilon)}
     try:
-        val = _eval_node(ast.parse(expr, "<rule>", mode="eval").body, ns)
+        val = _eval_node(_parsed(expr), ns)
     except (SyntaxError, ValueError, ArithmeticError, TypeError, RecursionError) as exc:
         raise RuleError(f"malformed rule {expr!r}: {exc}") from exc
     if not math.isfinite(val) or val < 2:
@@ -114,6 +124,12 @@ class SweepConfig:
             raise ValueError("Q must be >= 3")
         if not (math.isfinite(self.x_max) and self.x_max >= 2):
             raise ValueError(f"x_max must be a finite number >= 2, got {self.x_max}")
+        if self.mode == "almost" and self.k < 10:
+            raise ValueError(f"almost mode needs k >= 10, got {self.k}")
+        if not (math.isfinite(self.slack) and self.slack > 0):
+            raise ValueError(f"slack must be a finite number > 0, got {self.slack}")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
 
 
 @dataclass(frozen=True)
@@ -139,13 +155,13 @@ class SweepRecord:
     delta_f: float
     x: float
     y: float
-    z: float
-    exact_count: int | None
-    upper_bound: float | None
-    rhs_theorem: float | None
-    theta_or_theta_prime: float | None
-    pass_: str                        # "1" | "0" | "na" | "skipped"
-    runtime_ms: int | None
+    z: float = math.nan
+    exact_count: int | None = None
+    upper_bound: float | None = None
+    rhs_theorem: float | None = None
+    theta_or_theta_prime: float | None = None
+    pass_: str = "na"                 # "1" | "0" | "na" | "skipped"
+    runtime_ms: int | None = None
     sifted_count: int | None = None
     sieve_valid: bool | None = None
 
@@ -167,81 +183,54 @@ class SweepResult:
     summary: SweepSummary
 
 
-def _range_threshold(cfg: SweepConfig, D: int, a: int) -> float:
-    """Smallest x admitted by the theorem the mode verifies."""
-    if cfg.mode == "almost":
-        # almost-prime theorem range: x >= (D/a)^(1 + 49/(5k - 49))
-        return (D / a) ** (1 + 49 / (5 * cfg.k - 49))
-    return (D ** (1 + 4 * cfg.phi_mode) / a) ** (1 + cfg.epsilon)
-
-
-def _default_y(cfg: SweepConfig, D: int, a: int, x: float) -> float:
-    # minimal y admitted by the short-interval theorem
-    return (D ** (1 + 4 * cfg.phi_mode) / a) ** (0.5 + cfg.epsilon) * x ** (0.5 + cfg.epsilon)
-
-
 def build_tasks(cfg: SweepConfig) -> list[RowTask]:
-    tasks = []
-    for D in family(cfg.Q).members:
-        cs = enumerate_class_set(D)
-        for f in cs.reduced_forms:
-            raw_x = (eval_rule(cfg.x_rule, D, f.a, cfg.phi_mode, cfg.epsilon)
-                     if cfg.x_rule else _range_threshold(cfg, D, f.a))
-            x = float(min(math.ceil(raw_x), cfg.x_max))
-            if cfg.mode == "interval":
-                raw_y = (eval_rule(cfg.y_rule, D, f.a, cfg.phi_mode, cfg.epsilon)
-                         if cfg.y_rule else _default_y(cfg, D, f.a, x))
-                y = float(min(math.ceil(raw_y), x))
-            else:
-                y = x
-            # rows outside the theorem's valid range carry the na marker
-            applicable = x >= _range_threshold(cfg, D, f.a) - 1e-9
-            if cfg.mode == "interval":
-                applicable = applicable and y >= _default_y(cfg, D, f.a, x) - 1e-9
-            tasks.append(RowTask(D=D, a=f.a, b=f.b, c=f.c, h=cs.h,
-                                 delta=delta_f(f), x=x, y=y, applicable=applicable))
-    tasks.sort(key=lambda t: (t.D, t.a, t.b, t.c, t.x))
-    if cfg.sample is not None and cfg.sample < len(tasks):
-        rng = random.Random(cfg.seed)
-        tasks = sorted(rng.sample(tasks, cfg.sample),
-                       key=lambda t: (t.D, t.a, t.b, t.c, t.x))
-    return tasks
+    """The sweep's rows in key order; only the rows `sample` keeps get an x."""
+    keys = [(D, f, cs.h) for D in family(cfg.Q).members
+            for cs in (enumerate_class_set(D),) for f in cs.reduced_forms]
+    if cfg.sample is not None and cfg.sample < len(keys):
+        keys = [keys[i] for i in
+                sorted(random.Random(cfg.seed).sample(range(len(keys)), cfg.sample))]
+    return [_task(cfg, D, f, h) for D, f, h in keys]
 
 
-def _na_record(t: RowTask, status: str) -> SweepRecord:
+def _task(cfg: SweepConfig, D: int, f: Form, h: int) -> RowTask:
+    rule = partial(eval_rule, D=D, a=f.a, phi=cfg.phi_mode, epsilon=cfg.epsilon)
+    x_min = (almost_range_x(D, f.a, cfg.k) if cfg.mode == "almost"
+             else full_range_x(D, f.a, cfg.phi_mode, cfg.epsilon))
+    x = float(min(math.ceil(rule(cfg.x_rule) if cfg.x_rule else x_min), cfg.x_max))
+    applicable = x >= x_min - 1e-9
+    y = x
+    if cfg.mode == "interval":
+        y_min = interval_min_y(D, f.a, x, cfg.phi_mode, cfg.epsilon)
+        y = float(min(math.ceil(rule(cfg.y_rule) if cfg.y_rule else y_min), x))
+        applicable = applicable and y >= y_min - 1e-9
+    return RowTask(D=D, a=f.a, b=f.b, c=f.c, h=h, delta=delta_f(f), x=x, y=y,
+                   applicable=applicable)
+
+
+def _record(t: RowTask, pass_: str, **counts) -> SweepRecord:
     return SweepRecord(D=t.D, a=t.a, b=t.b, c=t.c, h=t.h, delta_f=t.delta,
-                       x=t.x, y=t.y, z=float("nan"), exact_count=None,
-                       upper_bound=None, rhs_theorem=None,
-                       theta_or_theta_prime=None, pass_=status, runtime_ms=None)
+                       x=t.x, y=t.y, pass_=pass_, **counts)
 
 
-def _run_row(args: tuple[RowTask, str, float, float, float, int]) -> SweepRecord:
-    t, mode, phi, epsilon, slack, k = args
+def _run_row(cfg: SweepConfig, t: RowTask) -> SweepRecord:
     f = Form(t.a, t.b, t.c)
     start = time.perf_counter()
-    if mode == "almost":
-        exact = count_almost_primes(f, t.x, k)
-        rhs = 0.5 * t.x / (math.sqrt(f.D) * math.log(t.x) ** 2)
-        ok = exact >= rhs / slack
-        rec = SweepRecord(D=t.D, a=t.a, b=t.b, c=t.c, h=t.h, delta_f=t.delta,
-                          x=t.x, y=t.y, z=float("nan"), exact_count=exact,
-                          upper_bound=None, rhs_theorem=rhs,
-                          theta_or_theta_prime=None,
-                          pass_="1" if ok else "0", runtime_ms=None)
+    if cfg.mode == "almost":
+        exact = count_almost_primes(f, t.x, cfg.k)
+        rhs = almost_rhs(t.D, t.x)
+        rec = _record(t, "1" if exact >= rhs / cfg.slack else "0",
+                      exact_count=exact, rhs_theorem=rhs)
     else:
-        params = SieveParams.of(f, t.x, t.y, phi_mode=phi, epsilon=epsilon)
+        params = SieveParams.of(f, t.x, t.y, phi_mode=cfg.phi_mode, epsilon=cfg.epsilon)
         rep = selberg_upper_bound(params)
-        rhs = rep.rhs_theorem
-        theta = rep.theta_prime if mode == "interval" else rep.theta
-        ok = rep.exact_interval_count < rhs * slack
-        rec = SweepRecord(D=t.D, a=t.a, b=t.b, c=t.c, h=t.h, delta_f=t.delta,
-                          x=t.x, y=t.y, z=params.z,
-                          exact_count=rep.exact_interval_count,
-                          upper_bound=rep.upper_bound, rhs_theorem=rhs,
-                          theta_or_theta_prime=theta,
-                          pass_="1" if ok else "0", runtime_ms=None,
-                          sifted_count=rep.sifted_count,
-                          sieve_valid=rep.upper_bound >= rep.sifted_count)
+        ok = rep.exact_interval_count < rep.rhs_theorem * cfg.slack
+        theta = rep.theta_prime if cfg.mode == "interval" else rep.theta
+        rec = _record(t, "1" if ok else "0", z=params.z,
+                      exact_count=rep.exact_interval_count, upper_bound=rep.upper_bound,
+                      rhs_theorem=rep.rhs_theorem, theta_or_theta_prime=theta,
+                      sifted_count=rep.sifted_count,
+                      sieve_valid=rep.upper_bound >= rep.sifted_count)
     rec.runtime_ms = int((time.perf_counter() - start) * 1000)
     return rec
 
@@ -251,48 +240,34 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         raise ValueError(f"x_max {cfg.x_max:g} exceeds the table cap {MASK_CAP:g}")
     tasks = build_tasks(cfg)
     start = time.monotonic()
-    records: list[SweepRecord] = []
-    live = [(t, cfg.mode, cfg.phi_mode, cfg.epsilon, cfg.slack, cfg.k)
-            for t in tasks if t.applicable]
-    for t in tasks:
-        if not t.applicable:
-            records.append(_na_record(t, "na"))
-    partial = False
-    done = 0
+    live = [t for t in tasks if t.applicable]
     # pi_f reads the prime mask up to each row's x: size it once, for the largest
-    mask_x = (math.floor(max(job[0].x for job in live))
-              if live and cfg.mode != "almost" else None)
-    pool, chunk, run = None, 1, map
+    mask_x = (math.floor(max((t.x for t in live), default=0))
+              if cfg.mode != "almost" else 0)
+    run = partial(_run_row, cfg)
+    pool, results = None, map(run, live)
     if cfg.jobs > 1 and len(live) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=cfg.jobs,
-                                   initializer=prime_table if mask_x else None,
+        pool = ProcessPoolExecutor(cfg.jobs, initializer=prime_table if mask_x else None,
                                    initargs=(mask_x,))
-        chunk, run = 32, pool.map
+        results = pool.map(run, live)
     elif mask_x:
         prime_table(mask_x)
-    with pool or contextlib.nullcontext():
-        for i in range(0, len(live), chunk):
-            if cfg.time_budget is not None and time.monotonic() - start > cfg.time_budget:
-                partial = True
-                break
-            records.extend(run(_run_row, live[i : i + chunk]))
-            done = i + chunk
-    if partial:
-        for job in live[done:]:
-            records.append(_na_record(job[0], "skipped"))
-    records.sort(key=lambda r: (r.D, r.a, r.b, r.c, r.x))
-    passes = sum(1 for r in records if r.pass_ == "1")
-    failures = sum(1 for r in records if r.pass_ == "0")
-    na = sum(1 for r in records if r.pass_ == "na")
-    skipped = sum(1 for r in records if r.pass_ == "skipped")
-    ratios = [r.exact_count / r.rhs_theorem for r in records
-              if r.exact_count is not None and r.rhs_theorem]
-    if cfg.mode == "almost":
-        ratios = [r.rhs_theorem / r.exact_count for r in records
-                  if r.exact_count and r.rhs_theorem is not None]
-    summary = SweepSummary(total=len(records), passes=passes, failures=failures,
-                           not_applicable=na, skipped=skipped,
-                           max_ratio=max(ratios, default=0.0), partial=partial)
-    return SweepResult(records=records, summary=summary)
+    records, expired = [], False
+    try:
+        for t in tasks:
+            if t.applicable and not expired:
+                expired = (cfg.time_budget is not None
+                           and time.monotonic() - start > cfg.time_budget)
+            records.append(_record(t, "na") if not t.applicable
+                           else _record(t, "skipped") if expired else next(results))
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    n = Counter(r.pass_ for r in records)
+    ratios = [r.rhs_theorem / r.exact_count if cfg.mode == "almost"
+              else r.exact_count / r.rhs_theorem for r in records if r.exact_count]
+    return SweepResult(records=records, summary=SweepSummary(
+        total=len(records), passes=n["1"], failures=n["0"], not_applicable=n["na"],
+        skipped=n["skipped"], max_ratio=max(ratios, default=0.0), partial=expired))

@@ -1,14 +1,21 @@
+import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import random
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from bqfsieve import characters, sweeps
+from bqfsieve.characters import family
 from bqfsieve.cli import main
+from bqfsieve.forms import delta_f, enumerate_class_set
 from bqfsieve.sweeps import SweepConfig, build_tasks, eval_rule, run_sweep, RuleError
 
 
@@ -313,3 +320,146 @@ def test_run_sweep_records_sorted_and_flagged():
         elif r.pass_ in ("0", "1"):
             assert r.sieve_valid is True
             assert (r.pass_ == "1") == (r.exact_count < r.rhs_theorem)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mode", "almost", "--k", "9"),
+    ("--mode", "almost", "--k", "1"),
+    ("--mode", "almost", "--k", "30", "--slack", "0"),
+    ("--slack", "-1"),
+    ("--slack", "nan"),
+    ("--slack", "inf"),
+    ("--time-budget", "nan"),
+    ("--time-budget", "-1"),
+], ids=["k9", "k1", "almost-slack0", "slack-neg", "slack-nan", "slack-inf",
+        "budget-nan", "budget-neg"])
+def test_verify_rejects_bad_config(capsys, argv):
+    # rejected by SweepConfig before any row runs, not by a ZeroDivisionError
+    code, _, err = run_cli(capsys, "verify", "--Q", "20", *argv)
+    assert code == 2 and "error" in err and "Traceback" not in err
+
+
+def _exit_in_worker(parent_pid):
+    def fake(*args, **kwargs):
+        if os.getpid() != parent_pid:
+            os._exit(1)
+        raise AssertionError("the row ran in the parent process")
+    return fake
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched function reaches the workers by fork")
+@pytest.mark.parametrize("command", ["verify", "family"])
+def test_dead_worker_exits_3(capsys, monkeypatch, command):
+    fake = _exit_in_worker(os.getpid())
+    if command == "verify":
+        monkeypatch.setattr(sweeps, "selberg_upper_bound", fake)
+    else:
+        monkeypatch.setattr(characters, "scan_discriminant", fake)
+    code, out, err = run_cli(capsys, command, "--Q", "100", "--jobs", "2")
+    assert code == 3 and out == ""
+    assert err.count("error: a worker process died") == 1 and "Traceback" not in err
+
+
+def _build_all_sorted(cfg):
+    """Every row of the sweep, built with its original inline theorem ranges
+    and sorted: the first half of the path build_tasks replaced."""
+    phi, eps = cfg.phi_mode, cfg.epsilon
+
+    def x_threshold(D, a):
+        if cfg.mode == "almost":
+            return (D / a) ** (1 + 49 / (5 * cfg.k - 49))
+        return (D ** (1 + 4 * phi) / a) ** (1 + eps)
+
+    def y_threshold(D, a, x):
+        return (D ** (1 + 4 * phi) / a) ** (0.5 + eps) * x ** (0.5 + eps)
+
+    tasks = []
+    for D in family(cfg.Q).members:
+        cs = enumerate_class_set(D)
+        for f in cs.reduced_forms:
+            raw_x = (eval_rule(cfg.x_rule, D, f.a, phi, eps) if cfg.x_rule
+                     else x_threshold(D, f.a))
+            x = float(min(math.ceil(raw_x), cfg.x_max))
+            y = x
+            applicable = x >= x_threshold(D, f.a) - 1e-9
+            if cfg.mode == "interval":
+                raw_y = (eval_rule(cfg.y_rule, D, f.a, phi, eps) if cfg.y_rule
+                         else y_threshold(D, f.a, x))
+                y = float(min(math.ceil(raw_y), x))
+                applicable = applicable and y >= y_threshold(D, f.a, x) - 1e-9
+            tasks.append(sweeps.RowTask(D=D, a=f.a, b=f.b, c=f.c, h=cs.h,
+                                        delta=delta_f(f), x=x, y=y,
+                                        applicable=applicable))
+    return sorted(tasks, key=_task_key)
+
+
+def _task_key(t):
+    return (t.D, t.a, t.b, t.c, t.x)
+
+
+def _sample_after_build(tasks, cfg):
+    """The second half: Random(seed).sample over the built RowTasks."""
+    if cfg.sample is not None and cfg.sample < len(tasks):
+        return sorted(random.Random(cfg.seed).sample(tasks, cfg.sample), key=_task_key)
+    return tasks
+
+
+@pytest.mark.parametrize("Q", [150, 600])
+@pytest.mark.parametrize("mode", [
+    dict(),
+    dict(mode="interval", x_rule="(D*D/a)**3.0", y_rule="(D*D/a)**2.4"),
+    dict(mode="almost", k=30),
+], ids=["full", "interval-y-rule", "almost-k30"])
+def test_build_tasks_samples_by_index(Q, mode):
+    every = _build_all_sorted(SweepConfig(Q=Q, **mode))
+    n = len(every)
+    assert any(t.applicable for t in every)
+    for seed in range(20):
+        for k in (1, 5, 100, n - 1, n, n + 5):
+            cfg = SweepConfig(Q=Q, seed=seed, sample=k, **mode)
+            # RowTask equality compares every field, x, y and applicable included
+            assert build_tasks(cfg) == _sample_after_build(every, cfg), (seed, k)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_time_budget_expires_mid_run(monkeypatch, jobs):
+    # the sweep's clock reads 0 at the start and t before the t-th live row
+    main_thread, calls = threading.main_thread(), []
+    real = time.monotonic
+
+    def clock():
+        if threading.current_thread() is not main_thread:
+            return real()
+        calls.append(None)
+        return float(len(calls) - 1)
+
+    cfg = SweepConfig(Q=60, x_max=2000.0, jobs=jobs)
+    full = run_sweep(cfg).records
+    live = [(r.D, r.a, r.b, r.c) for r in full if r.pass_ != "na"]
+    monkeypatch.setattr(sweeps.time, "monotonic", clock)
+    res = run_sweep(dataclasses.replace(cfg, time_budget=3.5))
+    monkeypatch.undo()
+    # rows 0-2 ran; the check before live row 3 read 4 > 3.5 and was the last
+    assert len(calls) == 1 + 4
+    s = res.summary
+    assert s.partial and s.skipped == len(live) - 3 > 0
+    assert s.passes + s.failures + s.not_applicable + s.skipped == s.total == len(full)
+    assert [(r.D, r.a, r.b, r.c) for r in res.records if r.pass_ == "skipped"] == live[3:]
+    strip = lambda r: dataclasses.replace(r, runtime_ms=None)
+    assert [strip(r) for r in res.records if r.pass_ != "skipped"] == \
+        [strip(r) for r in full if r.pass_ == "na" or (r.D, r.a, r.b, r.c) in live[:3]]
+
+
+def test_theorem_sweep_script_csv_matches_verify(tmp_path, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_theorem_sweep.py"
+    src = str(script.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("BQF_THREADS", None)
+    subprocess.run([sys.executable, str(script), "--Q", "40", "--jobs", "1",
+                    "--out", str(tmp_path / "script.csv")],
+                   check=True, capture_output=True, env=env, timeout=120)
+    code, _, _ = run_cli(capsys, "verify", "--Q", "40", "--out", str(tmp_path / "cli.csv"))
+    assert code == 0
+    strip = lambda p: [l.rsplit(",", 1)[0] for l in p.read_text().splitlines()]
+    assert strip(tmp_path / "script.csv") == strip(tmp_path / "cli.csv")
