@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", type=_finite_float)
     p.add_argument("--y", type=_finite_float, default=None)
     p.add_argument("--phi", type=float, choices=(0.0, 0.25), default=0.25)
-    p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--epsilon", type=_finite_float, default=0.2)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_sieve)
 
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=int, required=True)
     p.add_argument("--mode", choices=("full", "interval", "almost"), default="full")
     p.add_argument("--phi", type=float, choices=(0.0, 0.25), default=0.25)
-    p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--epsilon", type=_finite_float, default=0.2)
     p.add_argument("--x-exp", type=float, default=None, dest="x_exp")
     p.add_argument("--y-exp", type=float, default=None, dest="y_exp")
     p.add_argument("--x-rule", default=None, dest="x_rule",
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="average exceptional-set report over D <= Q")
     p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_finite_float, default=0.1)
     p.add_argument("--xmax", type=float, default=1e7)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -3,7 +3,8 @@
 A form f(u,v) = a u^2 + b uv + c v^2 with a > 0 and discriminant
 b^2 - 4ac = -D < 0.  This module owns reduction (the classical Gauss loop),
 primitivity, enumeration of the reduced primitive classes of a given
-discriminant (giving the class number h(-D)), the unit count w attached to
+discriminant (giving the class number h(-D)) or of every discriminant up to
+a bound at once (as int64 arrays), the unit count w attached to
 -D, the opposite-class constant delta_f, and the coordinate scaling
 f_r(u,w) = f(u, rw) used by the congruence-sum change of variables.
 
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Form",
     "FormClassSet",
@@ -27,6 +30,7 @@ __all__ = [
     "is_reduced",
     "is_primitive",
     "enumerate_class_set",
+    "reduced_forms_upto",
     "delta_f",
     "scale_form",
     "is_discriminant",
@@ -159,6 +163,38 @@ def enumerate_class_set(D: int) -> FormClassSet:
             forms.append(Form(a, b, c))
     forms.sort()
     return FormClassSet(D=D, reduced_forms=tuple(forms), h=len(forms), w=unit_count(D))
+
+
+def reduced_forms_upto(Q: int) -> tuple[np.ndarray, ...]:
+    """Every reduced primitive form with 3 <= D <= Q, as int64 arrays (D, a, b, c, h).
+
+    Rows are in (D, a, b, c) order, so each D's rows are `enumerate_class_set(D)`
+    in its order, and h[i] = h(-D[i]).  A reduced form has 3a^2 <= D, so a runs
+    to sqrt(Q/3), and for each (a, b) with |b| <= a, c runs from a to
+    (Q + b^2)/(4a).  One a at a time (about Q/2 candidate rows), the candidates
+    are filtered for primitivity and the sign normalisation.
+    """
+    if Q < 3:
+        raise ValueError("Q must be >= 3")
+    chunks = []
+    for a in range(1, math.isqrt(Q // 3) + 1):
+        cs = [np.arange(a, (Q + b * b) // (4 * a) + 1, dtype=np.int64)
+              for b in range(-a, a + 1)]
+        b = np.repeat(np.arange(-a, a + 1, dtype=np.int64), [len(c) for c in cs])
+        c = np.concatenate(cs)
+        keep = np.gcd(np.gcd(a, b), c) == 1
+        keep &= ~((b < 0) & ((b == -a) | (c == a)))  # the twin with b > 0 is listed
+        chunks.append((np.full(np.count_nonzero(keep), a, dtype=np.int64),
+                       b[keep], c[keep]))
+    a, b, c = (np.concatenate(col) for col in zip(*chunks))
+    del chunks
+    cols = [4 * a * c - b * b, a, b, c]
+    del a, b, c
+    order = np.lexsort(cols[::-1])  # by D, then a, b, c
+    for i in range(4):  # one column at a time, which keeps the peak down
+        cols[i] = cols[i][order]
+    D = cols[0]
+    return (*cols, np.bincount(D)[D])
 
 
 def delta_f(f: Form) -> float:

@@ -16,7 +16,11 @@ Membership tests are exact: f takes integer values, so f(u,v) <= x iff
 (2au + bv)^2 + D v^2 <= T with the integer threshold T = 4a floor(x).  One
 row kernel (`_rows`) turns T into the u-range of every row v at once, with
 an integer square root, and every count here is built on its rows.
-Counting is O(V) in the window height V = sqrt(4ax/D).
+Counting is O(V) in the window height V = sqrt(4ax/D).  The values f(u,v)
+themselves come from one value kernel on the same rows (`_row_values`, on the
+v >= 0 rows of the reduced form): a U = arange and a U^2 once per window, then
+one allocation and two in-place adds per row.  `value_bitmap` and
+`sieve.sifted_interval_count` both read it.
 
 One cache policy covers the counts: a window computes its rows once
 (`EllipseWindow.rows`, read-only) and every count on it shares them; the
@@ -39,7 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .arith import divisors, factorize, kronecker, mult_functions
-from .forms import Form, is_primitive
+from .forms import Form, is_primitive, reduce_form
 
 __all__ = [
     "EllipseWindow",
@@ -411,20 +415,41 @@ def local_density_report(window: EllipseWindow, ell: int,
                               envelope=envelope)
 
 
-def value_bitmap(f: Form, x) -> np.ndarray:
-    """Boolean array marking which n in [0, floor(x)] are represented by f.
+def _row_values(f: Form, X: int):
+    """Yield (w, f(u, w) for lo <= u <= hi) for each kernel row w >= 0 of {f <= X}.
 
-    Uses the v >= 0 half of the window only (values are symmetric under
-    (u,v) -> (-u,-v)) and vectorizes the u-scan per row.
+    The rows are those of g = reduce_form(f), which takes the same values as f
+    with the same multiplicities; the rows v < 0 repeat the rows -v, as
+    g(-u, -v) = g(u, v).  U = arange(umin, umax + 1) and aU2 = a U^2 are
+    computed once per call, so a row's values are U[l:h] (b w) + aU2[l:h] + c w^2:
+    one allocation and two in-place adds.  All of it stays in int64: a row has
+    |2au + bw| <= sqrt(T) with T = 4aX < 2^62 (`_rows`), and, g being reduced,
+    |b| w <= a sqrt(T/D) <= sqrt(T/3), so |u| <= (1 + 1/sqrt 3) sqrt(T)/(2a) and
+    a u^2 <= 0.62 T; |b w u| <= 0.46 T and c w^2 <= cT/D <= T/3, so every
+    partial sum is below 1.5 T < 2^63.  X must be >= 0 (row 0 holds the origin).
     """
+    g = reduce_form(f)
+    a, b, c = g.a, g.b, g.c
+    v, lo, hi = _rows(g, X)
+    half = v >= 0
+    v, lo, hi = v[half], lo[half], hi[half]
+    umin = int(lo.min())
+    U = np.arange(umin, int(hi.max()) + 1, dtype=np.int64)
+    aU2 = a * U * U
+    for w, l, h in zip(v.tolist(), (lo - umin).tolist(), (hi + 1 - umin).tolist()):
+        t = U[l:h] * (b * w)
+        t += aU2[l:h]
+        t += c * w * w
+        yield w, t
+
+
+def value_bitmap(f: Form, x) -> np.ndarray:
+    """Boolean array marking which n in [0, floor(x)] are represented by f,
+    from the v >= 0 rows of `_row_values`."""
     X = math.floor(x)
     if X < 0:
         return np.zeros(0, dtype=bool)
     rep = np.zeros(X + 1, dtype=bool)
-    a, b, c = f.a, f.b, f.c
-    v, lo, hi = _rows(f, X)
-    half = v >= 0
-    for w, l, h in zip(v[half].tolist(), lo[half].tolist(), hi[half].tolist()):
-        u = np.arange(l, h + 1, dtype=np.int64)
-        rep[(a * u + b * w) * u + c * w * w] = True
+    for _, t in _row_values(f, X):
+        rep[t] = True
     return rep

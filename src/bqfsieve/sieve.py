@@ -36,7 +36,7 @@ from . import arith
 from .arith import big_omega_upto, mult_functions, prime_table, primes_upto
 from .characters import L_values, sum_local_densities
 from .forms import Form, delta_f, enumerate_class_set, is_primitive, is_reduced
-from .lattice import (EllipseWindow, _rows, count_A_ell, local_density_g,
+from .lattice import (EllipseWindow, _row_values, count_A_ell, local_density_g,
                       value_bitmap)
 
 __all__ = [
@@ -77,7 +77,8 @@ def pi_f(f: Form, x) -> int:
         return 0
     mask = prime_table(X).mask  # first: an x above the cap fails before the bitmap
     rep = value_bitmap(f, X)
-    return int(np.count_nonzero(rep & mask[: X + 1]))
+    rep &= mask[: X + 1]
+    return int(np.count_nonzero(rep))
 
 
 def pi_f_interval(f: Form, x, y) -> int:
@@ -93,15 +94,12 @@ def sifted_interval_count(f: Form, x, y, z) -> int:
         return 0
     lo_val = math.floor(x - y) + 1
     small_primes = primes_upto(math.floor(z))
-    a, b, c = f.a, f.b, f.c
     total = 0
-    for v, lo, hi in zip(*(r.tolist() for r in _rows(f, math.floor(x)))):
-        u = np.arange(lo, hi + 1, dtype=np.int64)
-        vals = (a * u + b * v) * u + c * v * v
+    for w, vals in _row_values(f, math.floor(x)):
         keep = vals >= lo_val
         for p in small_primes:
             keep &= vals % p != 0
-        total += int(np.count_nonzero(keep))
+        total += (2 if w else 1) * int(np.count_nonzero(keep))  # row -w repeats row w
     return total
 
 
@@ -178,8 +176,8 @@ class SieveParams:
            epsilon: float = 0.2) -> "SieveParams":
         if phi_mode not in (0, 0.25):
             raise ValueError("phi_mode must be 0 or 0.25")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, got {epsilon}")
         if not 1 < y <= x:
             raise ValueError("need 1 < y <= x")
         z = (f.a / (f.D * x)) ** 0.25 * math.sqrt(y) * math.log(y) ** -7 + 1
@@ -199,14 +197,24 @@ class TheoremBounds:
     conditional: bool   # phi = 0 rows assume GRH for chi_{-D}
 
 
+def _pow(base: float, exp: float) -> float:
+    # base^exp, +inf where that overflows a float: a range no x reaches
+    try:
+        return base ** exp
+    except OverflowError:
+        return math.inf
+
+
 def full_range_x(D: int, a: int, phi_mode: float, epsilon: float) -> float:
-    """Smallest x in the Brun-Titchmarsh full range: (D^(1+4 phi)/a)^(1+epsilon)."""
-    return (D ** (1 + 4 * phi_mode) / a) ** (1 + epsilon)
+    """Smallest x in the Brun-Titchmarsh full range: (D^(1+4 phi)/a)^(1+epsilon),
+    +inf where that overflows a float."""
+    return _pow(D ** (1 + 4 * phi_mode) / a, 1 + epsilon)
 
 
 def interval_min_y(D: int, a: int, x, phi_mode: float, epsilon: float) -> float:
-    """Smallest y of the short-interval range: (D^(1+4 phi) x/a)^(1/2+epsilon)."""
-    return (D ** (1 + 4 * phi_mode) / a) ** (0.5 + epsilon) * x ** (0.5 + epsilon)
+    """Smallest y of the short-interval range: (D^(1+4 phi) x/a)^(1/2+epsilon),
+    +inf where that overflows a float."""
+    return _pow(D ** (1 + 4 * phi_mode) / a, 0.5 + epsilon) * _pow(x, 0.5 + epsilon)
 
 
 def almost_range_x(D: int, a: int, k: int) -> float:

@@ -3,12 +3,15 @@
 A sweep walks the reduced primitive forms of the discriminants -D, 3 <= D <= Q,
 in (D, a, b, c) order and checks one theorem per row (pi_f, interval pi_f or
 the almost-prime count) against its right-hand side, as `sieve` states it.
+The row keys come from one vectorised list (`forms.reduced_forms_upto`), and
+Q is capped at Q_MAX.
 
 x = ceil(rule(D, a)) capped at x_max, the rule defaulting to the theorem's
 range threshold; rows outside the theorem's range (e.g. capped below it) are
-na and skip the counting.  Almost mode needs k >= 10 (5k - 49 > 0).  `sample`
-keeps the rows at sorted(Random(seed).sample(range(n), sample)), the rows that
-sampling the row list itself would pick, and only they get an x and a y.
+na and skip the counting, as are rows whose threshold overflows a float.
+Almost mode needs k >= 10 (5k - 49 > 0).  `sample` keeps the rows at
+sorted(Random(seed).sample(range(n), sample)), the rows that sampling the row
+list itself would pick, and only they become tasks with an x and a y.
 
 Rows run in key order, serially or on a process pool, so records do not
 depend on `jobs` (runtime_ms is the one measured column).  The time budget is
@@ -29,8 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .arith import MASK_CAP, prime_table
-from .characters import family
-from .forms import Form, delta_f, enumerate_class_set
+from .forms import Form, delta_f, reduced_forms_upto
 from .sieve import (SieveParams, almost_range_x, almost_rhs, count_almost_primes,
                     full_range_x, interval_min_y, selberg_upper_bound)
 
@@ -99,6 +101,12 @@ def eval_rule(expr: str, D: int, a: int, phi: float, epsilon: float) -> float:
     return val
 
 
+# The key list of a sweep grows as Q^1.5: reduced_forms_upto(10^5) lists 4.58M
+# rows in about 2 s at a peak RSS of about 390 MiB (2-core VM, Python 3.11,
+# numpy 2.4).  A larger Q is refused before anything is allocated.
+Q_MAX = 100_000
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     Q: int
@@ -120,8 +128,10 @@ class SweepConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.phi_mode not in (0, 0.25):
             raise ValueError("phi must be 0 or 0.25")
-        if self.Q < 3:
-            raise ValueError("Q must be >= 3")
+        if not 3 <= self.Q <= Q_MAX:
+            raise ValueError(f"Q must lie in [3, {Q_MAX}], got {self.Q}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not (math.isfinite(self.x_max) and self.x_max >= 2):
             raise ValueError(f"x_max must be a finite number >= 2, got {self.x_max}")
         if self.mode == "almost" and self.k < 10:
@@ -184,28 +194,34 @@ class SweepResult:
 
 
 def build_tasks(cfg: SweepConfig) -> list[RowTask]:
-    """The sweep's rows in key order; only the rows `sample` keeps get an x."""
-    keys = [(D, f, cs.h) for D in family(cfg.Q).members
-            for cs in (enumerate_class_set(D),) for f in cs.reduced_forms]
-    if cfg.sample is not None and cfg.sample < len(keys):
-        keys = [keys[i] for i in
-                sorted(random.Random(cfg.seed).sample(range(len(keys)), cfg.sample))]
-    return [_task(cfg, D, f, h) for D, f, h in keys]
+    """The sweep's rows in key order; only the rows `sample` keeps become tasks."""
+    keys = reduced_forms_upto(cfg.Q)
+    n = len(keys[0])
+    if cfg.sample is not None and cfg.sample < n:
+        rows = sorted(random.Random(cfg.seed).sample(range(n), cfg.sample))
+        keys = [col[rows] for col in keys]
+    return [_task(cfg, D, Form(a, b, c), h)
+            for D, a, b, c, h in zip(*(col.tolist() for col in keys))]
 
 
 def _task(cfg: SweepConfig, D: int, f: Form, h: int) -> RowTask:
     rule = partial(eval_rule, D=D, a=f.a, phi=cfg.phi_mode, epsilon=cfg.epsilon)
     x_min = (almost_range_x(D, f.a, cfg.k) if cfg.mode == "almost"
              else full_range_x(D, f.a, cfg.phi_mode, cfg.epsilon))
-    x = float(min(math.ceil(rule(cfg.x_rule) if cfg.x_rule else x_min), cfg.x_max))
+    x = _ceil_capped(rule(cfg.x_rule) if cfg.x_rule else x_min, cfg.x_max)
     applicable = x >= x_min - 1e-9
     y = x
     if cfg.mode == "interval":
         y_min = interval_min_y(D, f.a, x, cfg.phi_mode, cfg.epsilon)
-        y = float(min(math.ceil(rule(cfg.y_rule) if cfg.y_rule else y_min), x))
+        y = _ceil_capped(rule(cfg.y_rule) if cfg.y_rule else y_min, x)
         applicable = applicable and y >= y_min - 1e-9
     return RowTask(D=D, a=f.a, b=f.b, c=f.c, h=h, delta=delta_f(f), x=x, y=y,
                    applicable=applicable)
+
+
+def _ceil_capped(value: float, cap: float) -> float:
+    # min(ceil(value), cap), with a threshold that overflowed to +inf at the cap
+    return float(cap if value >= cap else min(math.ceil(value), cap))
 
 
 def _record(t: RowTask, pass_: str, **counts) -> SweepRecord:

@@ -331,12 +331,63 @@ def test_run_sweep_records_sorted_and_flagged():
     ("--slack", "inf"),
     ("--time-budget", "nan"),
     ("--time-budget", "-1"),
+    ("--epsilon", "0"),
+    ("--epsilon", "-1"),
 ], ids=["k9", "k1", "almost-slack0", "slack-neg", "slack-nan", "slack-inf",
-        "budget-nan", "budget-neg"])
+        "budget-nan", "budget-neg", "epsilon0", "epsilon-neg"])
 def test_verify_rejects_bad_config(capsys, argv):
     # rejected by SweepConfig before any row runs, not by a ZeroDivisionError
     code, _, err = run_cli(capsys, "verify", "--Q", "20", *argv)
     assert code == 2 and "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [("verify", "--Q", "10"),
+                                     ("sieve", "1", "1", "6", "1000")],
+                         ids=["verify", "sieve"])
+@pytest.mark.parametrize("eps", ["inf", "-inf", "nan"])
+def test_non_finite_epsilon_exits_2(capsys, command, eps):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"--epsilon={eps}"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.count("error:") == 1 and "finite" in err and "Traceback" not in err
+
+
+def test_epsilon_checked_by_the_library():
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            SweepConfig(Q=10, epsilon=eps)
+
+
+@pytest.mark.parametrize("mode", ["full", "interval"])
+def test_verify_epsilon_beyond_float_range_gives_na_rows(capsys, mode):
+    # (D^2/a)^(1 + 1e308) overflows a float: a range no x reaches, so every row is na
+    code, out, err = run_cli(capsys, "verify", "--Q", "10", "--mode", mode,
+                             "--epsilon", "1e308")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and "Traceback" not in err
+    assert len(rows) == 4 and all(r[13] == "na" for r in rows)
+    assert "na=4" in err
+
+
+def test_sieve_epsilon_beyond_float_range_is_vacuous(capsys):
+    code, out, err = run_cli(capsys, "sieve", "1", "1", "6", "1000", "--epsilon", "1e308")
+    assert code == 0 and "rhs = nan" in out and "Traceback" not in err
+
+
+def test_verify_rejects_Q_above_cap_before_allocating(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--Q", str(sweeps.Q_MAX + 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and f"Q must lie in [3, {sweeps.Q_MAX}]" in err
+    assert peak < 1 << 20
+    SweepConfig(Q=sweeps.Q_MAX)  # the cap itself is accepted
 
 
 def _exit_in_worker(parent_pid):

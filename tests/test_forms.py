@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bqfsieve.forms import (Form, delta_f, discriminant, enumerate_class_set,
                             fundamental_part, is_discriminant, is_primitive,
-                            is_reduced, reduce_form, scale_form, unit_count)
+                            is_reduced, reduce_form, reduced_forms_upto, scale_form,
+                            unit_count)
 
 
 def orbit_reduced_forms(f, depth=8):
@@ -140,6 +142,21 @@ def test_class_set_ordering_and_validity():
             assert 3 * f.a * f.a <= D          # a <= sqrt(D/3)
             assert 4 * f.c * f.c >= D          # c >= sqrt(D)/2
             assert 4 * f.a * f.c == D + f.b * f.b
+
+
+@pytest.mark.parametrize("Q", [3, 4, 7, 3000])
+def test_reduced_forms_upto_matches_enumerate_class_set(Q):
+    # the same forms, in the same order, with the same h, for every D <= Q
+    cols = reduced_forms_upto(Q)
+    assert all(col.dtype == np.int64 for col in cols)
+    expect = [(D, f.a, f.b, f.c, cs.h) for D in range(3, Q + 1) if is_discriminant(D)
+              for cs in (enumerate_class_set(D),) for f in cs.reduced_forms]
+    assert list(zip(*(col.tolist() for col in cols))) == expect
+
+
+def test_reduced_forms_upto_rejects_small_Q():
+    with pytest.raises(ValueError):
+        reduced_forms_upto(2)
 
 
 def test_delta_f_examples():

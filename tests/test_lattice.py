@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from bqfsieve import arith, lattice
 from bqfsieve.arith import kronecker, mult_functions
 from bqfsieve.forms import (Form, enumerate_class_set, is_discriminant, is_reduced,
-                            scale_form)
+                            reduce_form, scale_form)
 from bqfsieve.lattice import (EllipseWindow, _rows, count_A, count_A_ell, count_B_ell,
                               count_congruence, local_density_g,
                               local_density_report, r_f, root_set, sqrt_average,
@@ -403,6 +403,71 @@ def test_value_bitmap_matches_r_f():
         bm = value_bitmap(f, 200)
         for n in range(201):
             assert bool(bm[n]) == (r_f(f, n) > 0), (f, n)
+
+
+def arange_bitmap(f, x):
+    """Oracle: the per-row arange bitmap that the value kernel replaced."""
+    X = math.floor(x)
+    if X < 0:
+        return np.zeros(0, dtype=bool)
+    rep = np.zeros(X + 1, dtype=bool)
+    a, b, c = f.a, f.b, f.c
+    v, lo, hi = _rows(f, X)
+    half = v >= 0
+    for w, l, h in zip(v[half].tolist(), lo[half].tolist(), hi[half].tolist()):
+        u = np.arange(l, h + 1, dtype=np.int64)
+        rep[(a * u + b * w) * u + c * w * w] = True
+    return rep
+
+
+@st.composite
+def wide_reduced_forms(draw):
+    a = draw(st.integers(1, 300))
+    b = draw(st.integers(-a, a))
+    c = draw(st.integers(a, 10**5))
+    f = Form(a, b, c)
+    assume(is_reduced(f))
+    return f
+
+
+@st.composite
+def equivalent_forms(draw):
+    """A form SL2(Z)-equivalent to a reduced one, mostly not reduced itself:
+    u -> u + kv, then (u, v) -> (-v, u), then u -> u + k'v."""
+    def shift(a, b, c, k):
+        return a, b + 2 * a * k, a * k * k + b * k + c
+
+    a, b, c = shift(*draw(reduced_forms()).triple(), draw(st.integers(-6, 6)))
+    return Form(*shift(c, -b, a, draw(st.integers(-6, 6))))
+
+
+@given(st.one_of(wide_reduced_forms(), equivalent_forms()), st.integers(0, 10**5))
+@example(Form(1, 100, 2501), 10**4)   # not reduced, D = 4
+@example(Form(1, 100, 2501), 0)
+@example(Form(2, 1, 3), 1)
+@example(Form(1, 1, 6), 2)
+@example(Form(3, 1, 10**5), 7)        # D > T: the one row v = 0
+@settings(max_examples=80, deadline=None)
+def test_value_bitmap_matches_arange_bitmap(f, X):
+    rep = value_bitmap(f, X)
+    assert rep.dtype == bool and len(rep) == X + 1
+    assert np.array_equal(rep, arange_bitmap(f, X))
+    assert np.array_equal(rep, value_bitmap(reduce_form(f), X))
+
+
+def test_value_bitmap_runs_on_the_reduced_form():
+    # f ~ (1, 0, 1): f's own rows span 10^7 values of u, the reduced form's 21
+    import tracemalloc
+
+    f = Form(1, 2 * 10**6, 10**12 + 1)
+    tracemalloc.start()
+    try:
+        rep = value_bitmap(f, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rep, value_bitmap(Form(1, 0, 1), 100))
+    assert peak < 1 << 20
 
 
 def test_decomposition_identities_small_grid():

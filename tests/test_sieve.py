@@ -81,7 +81,7 @@ def test_sifted_interval_examples():
 
 
 def test_sifted_interval_brute():
-    for f in (Form(1, 0, 1), Form(2, 1, 3)):
+    for f in (Form(1, 0, 1), Form(2, 1, 3), Form(1, 100, 2501)):  # the last: not reduced
         for (x, y, z) in ((100, 100, 2), (100, 40, 3), (350, 90, 5), (350, 350, 7)):
             assert sifted_interval_count(f, x, y, z) == brute_sifted(f, x, y, z)
 
@@ -170,6 +170,9 @@ def test_selberg_rejects_bad_ranges():
         SieveParams.of(f, 100, 200)  # y > x
     with pytest.raises(ValueError):
         SieveParams.of(f, 100, 100, phi_mode=0.5)
+    for eps in (0, -1, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            SieveParams.of(f, 100, 100, epsilon=eps)
     with pytest.raises(ValueError):
         selberg_upper_bound(SieveParams.of(Form(1, 0, 30), 20, 20))  # x < D/a
 
@@ -248,6 +251,8 @@ def test_count_almost_primes_examples():
     # k >= log2(x): every represented 1 <= n <= x qualifies
     assert count_almost_primes(f, 10, 4) == len(brute_values(f, 10)) - 1
     assert count_almost_primes(Form(2, 1, 3), 300, 9) == len(brute_values(Form(2, 1, 3), 300)) - 1
+    # the per-row arange bitmap's count at desk scale
+    assert count_almost_primes(Form(1, 1, 6), 1e7, 10) == 1_675_531
 
 
 @given(st.integers(10, 400), st.integers(1, 6))
