@@ -6,7 +6,7 @@ sweep contains a failing row or a pool worker of `verify` or `family` dies.
 CSV output always carries a header row; floats are printed with 10
 significant digits and booleans as 0/1.  JSON output is versioned under
 "schema": "bqf-sieve/1".  The environment variable BQF_THREADS overrides
---jobs.
+--jobs; either is capped at JOBS_MAX = 64.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .sieve import SieveParams, pi_f, pi_f_interval, selberg_upper_bound
 from .sweeps import CSV_COLUMNS, RuleError, SweepConfig, SweepRecord, run_sweep
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED = 0, 2, 3
+JOBS_MAX = 64  # a pool forks all of its workers on its first task, ~60 MiB each
 
 
 def _fmt(v) -> str:
@@ -102,18 +103,16 @@ def cmd_pif(args) -> int:
     f = _parse_form(args)
     if not is_primitive(f):
         raise ValueError("pi_f needs a primitive form")
-    cs = enumerate_class_set(f.D)
-    h = cs.h
-    delta = delta_f(reduce_form(f))
+    # Chebotarev: each class takes 1/(2h) of the primes, and f represents those
+    # of its class and of f(u, -v)'s, one class when delta_f = 1, two otherwise
+    density = 1 / (2 * enumerate_class_set(f.D).h * delta_f(reduce_form(f)))
     if args.interval is not None:
-        if args.interval > args.x:
-            raise ValueError("interval length y exceeds x")
         count = pi_f_interval(f, args.x, args.interval)
-        main = delta * (_Li(args.x) - _Li(args.x - args.interval)) / h
+        main = density * (_Li(args.x) - _Li(args.x - args.interval))
         label = "pi_f(%g) - pi_f(%g)" % (args.x, args.x - args.interval)
     else:
         count = pi_f(f, args.x)
-        main = delta * _Li(args.x) / h
+        main = density * _Li(args.x)
         label = "pi_f(%g)" % args.x
     if args.format == "json":
         print(json.dumps({"schema": "bqf-sieve/1", "form": f.triple(), "x": args.x,
@@ -322,15 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _set_jobs(args) -> None:
     """Apply the BQF_THREADS override (the one place it is read) and require
-    an integer job count >= 1."""
+    an integer job count in [1, JOBS_MAX], before any worker starts."""
     env = os.environ.get("BQF_THREADS")
     if env:
         try:
             args.jobs = int(env)
         except ValueError:
             raise ValueError(f"BQF_THREADS must be an integer, got {env!r}") from None
-    if args.jobs < 1:
-        raise ValueError(f"jobs (--jobs or BQF_THREADS) must be >= 1, got {args.jobs}")
+    if not 1 <= args.jobs <= JOBS_MAX:
+        raise ValueError(f"jobs (--jobs or BQF_THREADS) must lie in [1, {JOBS_MAX}], "
+                         f"got {args.jobs}")
 
 
 def main(argv=None) -> int:

@@ -21,6 +21,9 @@ The machinery is exercised at larger z by the tests.
 
 Primes, the prime mask and Omega come from the one table in `arith` (grown to
 max(request, 2 x current), capped at MASK_CAP); this module keeps none.
+A report computes script_J and its degenerate-L branch only when they are read
+(`bqf sieve` reads them, a sweep row does not), and takes h(-D) from a caller
+that has it; h = None counts it with `enumerate_class_set`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,7 +85,9 @@ def pi_f(f: Form, x) -> int:
 
 
 def pi_f_interval(f: Form, x, y) -> int:
-    """pi_f(x) - pi_f(x - y)."""
+    """pi_f(x) - pi_f(x - y), for 0 <= y <= x."""
+    if not 0 <= y <= x:
+        raise ValueError("need 0 <= y <= x")
     return pi_f(f, x) - pi_f(f, x - y) if x - y >= 2 else pi_f(f, x)
 
 
@@ -227,18 +232,13 @@ def almost_rhs(D: int, x) -> float:
     return 0.5 * x / (math.sqrt(D) * math.log(x) ** 2)
 
 
-@lru_cache(maxsize=4096)
-def _class_data(D: int) -> tuple[int, int]:
-    cs = enumerate_class_set(D)
-    return cs.h, cs.w
-
-
-def theorem_rhs(f: Form, x, y, phi_mode: float, epsilon: float) -> TheoremBounds:
+def theorem_rhs(f: Form, x, y, phi_mode: float, epsilon: float,
+                h: int | None = None) -> TheoremBounds:
     """theta, theta', and the two Brun-Titchmarsh right-hand sides.
 
     rhs_full = 4/(1-theta) delta_f x / (h(-D) log x) for the full range,
     rhs_interval = 2/(1-theta') delta_f y / (h(-D) log y) for the short interval;
-    a vacuous bound (theta >= 1) is reported as nan.
+    a vacuous bound (theta >= 1) is reported as nan.  h = None counts h(-D).
     """
     if not is_reduced(f) or not is_primitive(f):
         raise ValueError("theorem_rhs expects a reduced primitive form")
@@ -251,7 +251,7 @@ def theorem_rhs(f: Form, x, y, phi_mode: float, epsilon: float) -> TheoremBounds
     phi = phi_mode
     theta = (1 + 2 * phi + epsilon / 2) * lD / lx - la / lx
     theta_p = lx / (2 * ly) + (0.5 + phi + epsilon / 4) * lD / ly - la / (2 * ly)
-    h, _ = _class_data(D)
+    h = enumerate_class_set(D).h if h is None else h
     delta = delta_f(f)
     rhs_f = 4 / (1 - theta) * delta * x / (h * lx) if theta < 1 else math.nan
     rhs_i = 2 / (1 - theta_p) * delta * y / (h * ly) if theta_p < 1 else math.nan
@@ -267,7 +267,6 @@ def theorem_rhs(f: Form, x, y, phi_mode: float, epsilon: float) -> TheoremBounds
 class SieveReport:
     params: SieveParams
     J: float
-    script_J: float
     main_term: float
     remainder_majorized: float
     remainder_signed: float
@@ -277,11 +276,21 @@ class SieveReport:
     theta: float
     theta_prime: float
     rhs_theorem: float
-    degenerate_L_branch: bool
     bounds: TheoremBounds
 
+    @cached_property
+    def degenerate_L_branch(self) -> bool:
+        return L_values(self.params.f.D).L1 < math.log(self.params.y) ** -2
 
-def selberg_upper_bound(params: SieveParams) -> SieveReport:
+    @cached_property
+    def script_J(self) -> float:
+        f, y, z = self.params.f, self.params.y, self.params.z
+        if self.degenerate_L_branch:
+            return math.log(y) ** 2
+        return sum_local_densities(f, z).sum / L_values(f.D).L1
+
+
+def selberg_upper_bound(params: SieveParams, h: int | None = None) -> SieveReport:
     """Run the sieve at the pinned z with exact remainders.
 
     upper_bound = (2 pi y / sqrt(D)) / J + sum_{l | P(z), l < z^2} tau_3(l) |r_l|
@@ -312,24 +321,16 @@ def selberg_upper_bound(params: SieveParams) -> SieveReport:
         r_ell = interval - float(local_density_g(f, ell)) * main_density
         rem_maj += mult_functions(ell).tau3 * abs(r_ell)
         rem_signed += float(sys.cross_coeff[ell]) * r_ell
-    lv = L_values(f.D)
-    ly = math.log(y)
-    degenerate = lv.L1 < ly**-2
-    if degenerate:
-        script_J = ly**2
-    else:
-        script_J = sum_local_densities(f, params.z).sum / lv.L1
     if sifted is None:
         sifted = sifted_interval_count(f, x, y, params.z)
     exact_primes = pi_f_interval(f, x, y)
-    tb = theorem_rhs(f, x, y, params.phi_mode, params.epsilon)
+    tb = theorem_rhs(f, x, y, params.phi_mode, params.epsilon, h)
     rhs = tb.rhs_interval if y < x else tb.rhs_full
-    return SieveReport(params=params, J=J, script_J=script_J, main_term=main,
+    return SieveReport(params=params, J=J, main_term=main,
                        remainder_majorized=rem_maj, remainder_signed=rem_signed,
                        upper_bound=main + rem_maj, sifted_count=sifted,
                        exact_interval_count=exact_primes, theta=tb.theta,
-                       theta_prime=tb.theta_prime, rhs_theorem=rhs,
-                       degenerate_L_branch=degenerate, bounds=tb)
+                       theta_prime=tb.theta_prime, rhs_theorem=rhs, bounds=tb)
 
 
 def count_almost_primes(f: Form, x, k: int) -> int:

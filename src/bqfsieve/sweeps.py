@@ -239,7 +239,7 @@ def _run_row(cfg: SweepConfig, t: RowTask) -> SweepRecord:
                       exact_count=exact, rhs_theorem=rhs)
     else:
         params = SieveParams.of(f, t.x, t.y, phi_mode=cfg.phi_mode, epsilon=cfg.epsilon)
-        rep = selberg_upper_bound(params)
+        rep = selberg_upper_bound(params, t.h)
         ok = rep.exact_interval_count < rep.rhs_theorem * cfg.slack
         theta = rep.theta_prime if cfg.mode == "interval" else rep.theta
         rec = _record(t, "1" if ok else "0", z=params.z,

@@ -25,6 +25,8 @@ from bqfsieve.lattice import (EllipseWindow, count_A, count_B_ell,
 from bqfsieve.sieve import count_almost_primes, pi_f
 from bqfsieve.sweeps import SweepConfig, run_sweep
 
+pytestmark = pytest.mark.slow
+
 JOBS = min(int(os.environ.get("BQF_THREADS", os.cpu_count() or 1)), 4)
 
 SQUAREFREE_ELLS = tuple(l for l in range(1, 31) if mult_functions(l).squarefree)

@@ -8,9 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+@pytest.mark.slow
 def test_bench_selftest_passes():
     proc = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
                           capture_output=True, text=True, timeout=300)

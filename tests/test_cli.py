@@ -1,3 +1,5 @@
+import argparse
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from bqfsieve import characters, sweeps
+from bqfsieve import characters, cli, sweeps
 from bqfsieve.characters import family
 from bqfsieve.cli import main
 from bqfsieve.forms import delta_f, enumerate_class_set
@@ -116,6 +118,60 @@ def test_pif_command(capsys):
     assert code == 0 and "= 1" in out
     code, _, _ = run_cli(capsys, "pif", "1", "0", "1", "100", "--interval", "200")
     assert code == 2
+
+
+def test_pif_interval_outside_0_x_exits_2(capsys):
+    for y in ("-5", "200"):
+        code, out, err = run_cli(capsys, "pif", "1", "0", "1", "100", "--interval", y)
+        assert code == 2 and out == "" and "need 0 <= y <= x" in err, y
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", [(1, 1, 6), (2, 1, 3), (1, 0, 1), (2, 1, 7), (1, 1, 4)])
+def test_pif_chebotarev_main_term_matches_the_count(capsys, form):
+    code, out, _ = run_cli(capsys, "pif", *map(str, form), "1e6", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and abs(doc["count"] / doc["chebotarev_main"] - 1) < 0.01
+
+
+# Pinned `bqf sieve` bytes: one input on the degenerate L branch (with its
+# stderr anomaly line) and one off it
+SIEVE_GOLDEN = {
+    ("1", "1", "1", "3", "--y", "2"): (
+        "z = 11.62126252  J = 2.425  scriptJ = 0.4804530139\n"
+        "main = 2.991834003  remainder = 48.85701492  upper_bound = 51.84884892\n"
+        "sifted = 0  primes in interval = 1  rhs = nan\n"
+        "sieve bound valid: 1\n",
+        '{"schema": "bqf-sieve/1", "form": [1, 1, 1], "x": 3.0, "y": 2.0, '
+        '"z": 11.621262519083086, "J": 2.425, "script_J": 0.4804530139182014, '
+        '"main_term": 2.991834002860566, "remainder_majorized": 48.85701492113278, '
+        '"remainder_signed": -2.807542367192588, "upper_bound": 51.848848923993344, '
+        '"sifted_count": 0, "exact_interval_count": 1, "theta": 1.6, '
+        '"theta_prime": 2.0604512509375033, "rhs_theorem": NaN, '
+        '"degenerate_L_branch": true, "conditional": false}\n',
+        "anomaly: L(1,chi) < (log y)^-2, scriptJ took the (log y)^2 branch\n"),
+    ("2", "1", "3", "100000", "--y", "20000"): (
+        "z = 1.000000462  J = 1  scriptJ = 0.5088535288\n"
+        "main = 26202.69405  remainder = 25.30594523  upper_bound = 26228\n"
+        "sifted = 26228  primes in interval = 591  rhs = 3358.178756\n"
+        "sieve bound valid: 1\n",
+        '{"schema": "bqf-sieve/1", "form": [2, 1, 3], "x": 100000.0, "y": 20000.0, '
+        '"z": 1.000000462193057, "J": 1.0, "script_J": 0.5088535287807691, '
+        '"main_term": 26202.69405477146, "remainder_majorized": 25.305945228541532, '
+        '"remainder_signed": 25.305945228541532, "upper_bound": 26228.0, '
+        '"sifted_count": 26228, "exact_interval_count": 591, '
+        '"theta": 0.3755469083928335, "theta_prime": 0.7995450565210953, '
+        '"rhs_theorem": 3358.17875574466, "degenerate_L_branch": false, '
+        '"conditional": false}\n',
+        ""),
+}
+
+
+@pytest.mark.parametrize("argv", list(SIEVE_GOLDEN))
+def test_sieve_output_bytes(capsys, argv):
+    text, js, err = SIEVE_GOLDEN[argv]
+    assert run_cli(capsys, "sieve", *argv) == (0, text, err)
+    assert run_cli(capsys, "sieve", *argv, "--format", "json") == (0, js, err)
 
 
 def test_sieve_command_json(capsys):
@@ -245,6 +301,26 @@ def test_family_command(capsys):
 def test_verify_rejects_zero_jobs(capsys):
     code, _, err = run_cli(capsys, "verify", "--Q", "10", "--jobs", "0")
     assert code == 2 and "jobs" in err
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("command", [("verify", "--Q", "100"), ("family", "--Q", "100")])
+def test_jobs_above_cap_exit_2_before_any_worker(capsys, monkeypatch, command):
+    # a pool that cannot start: a regressed check fails here instead of forking
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    for jobs in (cli.JOBS_MAX + 1, 100_000):
+        code, out, err = run_cli(capsys, *command, "--jobs", str(jobs))
+        assert code == 2 and out == "" and "jobs" in err and "Traceback" not in err
+        monkeypatch.setenv("BQF_THREADS", str(jobs))
+        code, out, err = run_cli(capsys, *command, "--jobs", "1")
+        assert code == 2 and out == "" and "BQF_THREADS" in err
+        monkeypatch.delenv("BQF_THREADS")
+    args = argparse.Namespace(jobs=cli.JOBS_MAX)
+    cli._set_jobs(args)  # the cap itself passes
+    assert args.jobs == cli.JOBS_MAX
 
 
 @pytest.mark.parametrize("rule", [

@@ -1,17 +1,22 @@
 import dataclasses
+import importlib
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bqfsieve import sieve
-from bqfsieve.forms import Form, delta_f, enumerate_class_set, unit_count
+from bqfsieve.forms import (Form, delta_f, enumerate_class_set, reduced_forms_upto,
+                            unit_count)
 from bqfsieve.lattice import count_A, EllipseWindow, local_density_g
-from bqfsieve.sieve import (SieveParams, count_almost_primes, pi_f, pi_f_interval,
-                            prime_count_upto, selberg_system,
+from bqfsieve.sieve import (SieveParams, count_almost_primes, full_range_x, pi_f,
+                            pi_f_interval, prime_count_upto, selberg_system,
                             selberg_upper_bound, sifted_interval_count,
                             theorem_rhs)
+from bqfsieve.sweeps import SweepConfig, run_sweep
 
 
 def trial_prime(n):
@@ -160,6 +165,62 @@ def test_selberg_degenerate_L_branch():
     rep = selberg_upper_bound(params)
     assert rep.degenerate_L_branch
     assert rep.script_J == math.log(2) ** 2
+
+
+def _spy_calls(monkeypatch, names):
+    """Count calls to `names` (module, function) through every bqfsieve
+    module that binds them, so a caller's own import is counted too."""
+    calls = Counter()
+    for mod_name, name in names:
+        orig = getattr(importlib.import_module(f"bqfsieve.{mod_name}"), name)
+
+        def spy(*args, _orig=orig, _label=f"{mod_name}.{name}", **kwargs):
+            calls[_label] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in [m for k, m in sys.modules.items() if k.startswith("bqfsieve")]:
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_sweep_row_reads_no_L_values_and_counts_no_class_number(monkeypatch):
+    calls = _spy_calls(monkeypatch, [("characters", "L_values"),
+                                     ("characters", "sum_local_densities"),
+                                     ("forms", "enumerate_class_set")])
+    res = run_sweep(SweepConfig(Q=300, jobs=1))
+    assert res.summary.passes > 100 and res.summary.failures == 0
+    assert sum(calls.values()) == 0, calls
+    # the spies see the calls of a report that is read, and of theorem_rhs
+    # without h, so the zero above is not a spy that missed them
+    rep = selberg_upper_bound(SieveParams.of(Form(2, 1, 3), 10**5, 2 * 10**4))
+    assert rep.script_J > 0 and not rep.degenerate_L_branch
+    assert calls["characters.L_values"] >= 1
+    assert calls["characters.sum_local_densities"] == 1
+    theorem_rhs(Form(2, 1, 3), 10**5, 10**5, 0.25, 0.2)
+    assert calls["forms.enumerate_class_set"] == 2
+
+
+def test_theorem_rhs_h_from_key_list_matches_counted_h():
+    D, a, b, c, h = (col.tolist() for col in reduced_forms_upto(500))
+    members = [d for d in range(3, 501) if d % 4 in (0, 3)]
+    assert len(D) == sum(enumerate_class_set(d).h for d in members)  # every form
+    for D_, f, h_ in zip(D, map(Form, a, b, c), h):
+        for phi in (0, 0.25):
+            x = math.ceil(full_range_x(D_, f.a, phi, 0.2))
+            for y in (x, math.ceil(math.sqrt(x)) + 1):
+                given_h = theorem_rhs(f, x, y, phi, 0.2, h=h_)
+                counted = theorem_rhs(f, x, y, phi, 0.2)
+                assert repr(given_h) == repr(counted), (f, phi, y)  # nan == nan
+
+
+def test_pi_f_interval_rejects_y_outside_0_x():
+    f = Form(1, 0, 1)
+    for y in (-5, 101, math.nan):
+        with pytest.raises(ValueError, match="need 0 <= y <= x"):
+            pi_f_interval(f, 100, y)
+    assert pi_f_interval(f, 100, 0) == 0
+    assert pi_f_interval(f, 100, 100) == pi_f(f, 100) == 12
 
 
 def test_selberg_rejects_bad_ranges():
