@@ -4,7 +4,7 @@ Selberg-sieve upper bound, with desk-scale verification sweeps."""
 
 __version__ = "0.1.0"
 
-from .arith import Factorization, PrimeTable, factorize, kronecker, mult_functions, sieve_primes
+from .arith import Factorization, factorize, kronecker, mult_functions, sieve_primes
 from .forms import (Form, FormClassSet, ScaledForm, delta_f, discriminant,
                     enumerate_class_set, is_primitive, reduce_form, scale_form)
 from .lattice import (CongruenceCount, EllipseWindow, RootSet, count_A,

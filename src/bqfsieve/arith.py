@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 __all__ = [
-    "PrimeTable",
     "Factorization",
     "MultValues",
     "kronecker",
@@ -41,29 +40,9 @@ __all__ = [
 MASK_CAP = 2 * 10**8   # cells of each shared table
 
 
-@dataclass(frozen=True, eq=False)
-class PrimeTable:
-    """Primes up to `limit`: a read-only bool mask, and the primes as a tuple
-    of ints, derived from the mask on first use."""
-
-    limit: int
-    mask: np.ndarray
-
-    def __contains__(self, n: int) -> bool:
-        if 0 <= n <= self.limit:
-            return bool(self.mask[n])
-        raise ValueError(f"{n} outside table limit {self.limit}")
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-    @cached_property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.mask).tolist())
-
-
-def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to `limit` inclusive."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """Sieve of Eratosthenes up to `limit` inclusive: a read-only bool mask,
+    True at the primes."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
     mask = np.ones(limit + 1, dtype=bool)
@@ -73,10 +52,10 @@ def sieve_primes(limit: int) -> PrimeTable:
         if mask[p]:
             mask[p * p :: 2 * p] = False
     mask.setflags(write=False)
-    return PrimeTable(limit=limit, mask=mask)
+    return mask
 
 
-_table: PrimeTable | None = None
+_mask = np.zeros(0, dtype=bool)
 _spf = np.zeros(0, dtype=np.int32)
 _omega = np.zeros(0, dtype=np.uint8)
 
@@ -89,19 +68,18 @@ def _grown(have: int, want: int, what: str) -> int:
     return min(max(want, 2 * have), MASK_CAP)
 
 
-def prime_table(limit: int) -> PrimeTable:
-    """The shared table, covering at least 0..limit; it grows only by
+def prime_table(limit: int) -> np.ndarray:
+    """The shared prime mask, covering at least 0..limit; it grows only by
     calling `sieve_primes`, and never below 2^16."""
-    global _table
-    if _table is None or _table.limit < limit:
-        have = _table.limit if _table is not None else 0
-        _table = sieve_primes(max(_grown(have, limit, "prime mask"), 1 << 16))
-    return _table
+    global _mask
+    if len(_mask) <= limit:
+        _mask = sieve_primes(max(_grown(len(_mask) - 1, limit, "prime mask"), 1 << 16))
+    return _mask
 
 
 def primes_upto(n: int) -> list[int]:
     """The primes <= n, ascending, as Python ints read from the shared mask."""
-    return np.flatnonzero(prime_table(n).mask[: n + 1]).tolist() if n >= 2 else []
+    return np.flatnonzero(prime_table(n)[: n + 1]).tolist() if n >= 2 else []
 
 
 def _spf_block(lo: int, hi: int) -> np.ndarray:

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import bernoulli, digamma
 
 from .arith import primes_upto, spf_upto
-from .forms import Form, is_discriminant, unit_count
+from .forms import D_MAX, Q_MAX, Form, is_discriminant, unit_count
 from .lattice import local_density_g
 
 __all__ = [
@@ -58,10 +59,6 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329  # Euler-Mascheroni, hard-coded
 
 
-# Euler's criterion squares residues b < p <= D in int64
-_CHI_D_MAX = math.isqrt(2**63 - 1)
-
-
 def _chi_period(D: int) -> np.ndarray:
     """chi(n) for n = 0..D as int8.
 
@@ -70,8 +67,8 @@ def _chi_period(D: int) -> np.ndarray:
     chi(n) = chi(spf(n)) chi(n/spf(n)), one block [2^k, 2^(k+1)) at a time,
     since n/spf(n) < 2^k.
     """
-    if D > _CHI_D_MAX:
-        raise ValueError(f"D = {D} is too large for the int64 Euler criterion")
+    if D > D_MAX:  # first, before O(D) arrays; it also keeps the int64 squares exact
+        raise ValueError(f"D = {D} exceeds D_MAX = {D_MAX}")
     n = np.arange(D + 1)
     spf = spf_upto(D)[: D + 1].astype(np.int64)  # the dtype of n, for the loops below
     chi = np.zeros(D + 1, dtype=np.int8)
@@ -387,9 +384,9 @@ class DiscriminantFamily:
 
 
 def family(Q: int) -> DiscriminantFamily:
-    """All D with 3 <= D <= Q and -D = 0, 1 (mod 4)."""
-    if Q < 3:
-        raise ValueError("Q must be >= 3")
+    """All D with 3 <= D <= Q and -D = 0, 1 (mod 4), Q <= Q_MAX."""
+    if not 3 <= Q <= Q_MAX:
+        raise ValueError(f"Q must lie in [3, {Q_MAX}], got {Q}")
     members = tuple(D for D in range(3, Q + 1) if D % 4 in (0, 3))
     return DiscriminantFamily(Q=Q, members=members)
 
@@ -452,21 +449,17 @@ def average_exceptional_report(Q: int, epsilon: float, x_cap: float = 1e7,
     if not (math.isfinite(x_cap) and x_cap >= 1):
         raise ValueError(f"x_cap must be a finite number >= 1, got {x_cap}")
     members = family(Q).members
+    scan = partial(scan_discriminant, epsilon=epsilon, x_cap=x_cap)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flags = list(pool.map(_scan_job, ((D, epsilon, x_cap) for D in members),
-                                  chunksize=32))
+            flags = list(pool.map(scan, members, chunksize=32))
     else:
-        flags = [scan_discriminant(D, epsilon, x_cap) for D in members]
+        flags = list(map(scan, members))
     ve = sum(1 for e, _ in flags if e)
     vl = sum(1 for _, l in flags if l)
     total = len(members)
     return ExceptionalReport(Q=Q, epsilon=epsilon, total=total,
                              violators_E=ve, violators_L=vl,
                              fraction_E=ve / total, fraction_L=vl / total)
-
-
-def _scan_job(args: tuple[int, float, float]) -> tuple[bool, bool]:
-    return scan_discriminant(*args)

@@ -175,16 +175,8 @@ def write_verify_csv(fh, records) -> None:
 
 
 def cmd_verify(args) -> int:
-    x_rule = args.x_rule
-    if x_rule is None and args.x_exp is not None:
-        x_rule = f"(D**(1+4*phi)/a)**{args.x_exp}"
-    y_rule = args.y_rule
-    if y_rule is None and args.y_exp is not None:
-        # --y-exp e means y = x^e with x taken from the (uncapped) x rule
-        base_x = x_rule or "(D**(1+4*phi)/a)**(1+epsilon)"
-        y_rule = f"({base_x})**({args.y_exp})"
     cfg = SweepConfig(Q=args.Q, mode=args.mode, phi_mode=args.phi,
-                      epsilon=args.epsilon, x_rule=x_rule, y_rule=y_rule,
+                      epsilon=args.epsilon, x_rule=args.x_rule, y_rule=args.y_rule,
                       x_max=args.xmax, k=args.k, slack=args.slack,
                       seed=args.seed, sample=args.sample, jobs=args.jobs,
                       time_budget=args.time_budget)
@@ -292,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("full", "interval", "almost"), default="full")
     p.add_argument("--phi", type=float, choices=(0.0, 0.25), default=0.25)
     p.add_argument("--epsilon", type=_finite_float, default=0.2)
-    p.add_argument("--x-exp", type=float, default=None, dest="x_exp")
-    p.add_argument("--y-exp", type=float, default=None, dest="y_exp")
     p.add_argument("--x-rule", default=None, dest="x_rule",
                    help="expression over (D, a), e.g. '(D*D/a)**1.2'")
     p.add_argument("--y-rule", default=None, dest="y_rule")

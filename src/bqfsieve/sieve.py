@@ -62,7 +62,7 @@ def __getattr__(name: str):
     # `_prime_mask` aliases the shared mask for bench/tracer.py's rebuild
     # count, until ROADMAP item 4 moves tracing into the library
     if name == "_prime_mask":
-        return arith._table and arith._table.mask
+        return arith._mask
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -73,22 +73,24 @@ def prime_count_upto(z: float) -> int:
 
 def pi_f(f: Form, x) -> int:
     """Number of primes p <= x represented by f, by exhaustive enumeration."""
-    if not is_primitive(f):
-        raise ValueError("pi_f expects a primitive form")
-    X = math.floor(x)
-    if X < 2:
-        return 0
-    mask = prime_table(X).mask  # first: an x above the cap fails before the bitmap
-    rep = value_bitmap(f, X)
-    rep &= mask[: X + 1]
-    return int(np.count_nonzero(rep))
+    x = max(x, 0)
+    return pi_f_interval(f, x, x)
 
 
 def pi_f_interval(f: Form, x, y) -> int:
-    """pi_f(x) - pi_f(x - y), for 0 <= y <= x."""
+    """pi_f(x) - pi_f(x - y), for 0 <= y <= x: the represented primes p with
+    floor(x - y) < p <= floor(x), from one bitmap up to x."""
+    if not is_primitive(f):
+        raise ValueError("pi_f expects a primitive form")
     if not 0 <= y <= x:
         raise ValueError("need 0 <= y <= x")
-    return pi_f(f, x) - pi_f(f, x - y) if x - y >= 2 else pi_f(f, x)
+    X = math.floor(x)
+    if X < 2:
+        return 0
+    mask = prime_table(X)  # first: an x above the cap fails before the bitmap
+    rep = value_bitmap(f, X)
+    rep &= mask[: X + 1]
+    return int(np.count_nonzero(rep[math.floor(x - y) + 1 :]))
 
 
 def sifted_interval_count(f: Form, x, y, z) -> int:
@@ -174,7 +176,6 @@ class SieveParams:
     phi_mode: float
     epsilon: float
     z: float
-    R: float
 
     @classmethod
     def of(cls, f: Form, x, y, phi_mode: float = 0.25,
@@ -187,7 +188,7 @@ class SieveParams:
             raise ValueError("need 1 < y <= x")
         z = (f.a / (f.D * x)) ** 0.25 * math.sqrt(y) * math.log(y) ** -7 + 1
         return cls(f=f, x=float(x), y=float(y), phi_mode=phi_mode,
-                   epsilon=epsilon, z=z, R=z * z)
+                   epsilon=epsilon, z=z)
 
 
 @dataclass(frozen=True)
@@ -196,9 +197,6 @@ class TheoremBounds:
     theta_prime: float
     rhs_full: float
     rhs_interval: float
-    range_ok_full: bool
-    range_ok_interval: bool
-    range_ok: bool
     conditional: bool   # phi = 0 rows assume GRH for chi_{-D}
 
 
@@ -255,12 +253,8 @@ def theorem_rhs(f: Form, x, y, phi_mode: float, epsilon: float,
     delta = delta_f(f)
     rhs_f = 4 / (1 - theta) * delta * x / (h * lx) if theta < 1 else math.nan
     rhs_i = 2 / (1 - theta_p) * delta * y / (h * ly) if theta_p < 1 else math.nan
-    ok_full = x >= full_range_x(D, a, phi, epsilon)
-    ok_interval = interval_min_y(D, a, x, phi, epsilon) <= y <= x
-    return TheoremBounds(theta=theta, theta_prime=theta_p,
-                         rhs_full=rhs_f, rhs_interval=rhs_i,
-                         range_ok_full=ok_full, range_ok_interval=ok_interval,
-                         range_ok=ok_full or ok_interval, conditional=(phi == 0))
+    return TheoremBounds(theta=theta, theta_prime=theta_p, rhs_full=rhs_f,
+                         rhs_interval=rhs_i, conditional=(phi == 0))
 
 
 @dataclass(frozen=True)
@@ -276,7 +270,6 @@ class SieveReport:
     theta: float
     theta_prime: float
     rhs_theorem: float
-    bounds: TheoremBounds
 
     @cached_property
     def degenerate_L_branch(self) -> bool:
@@ -330,7 +323,7 @@ def selberg_upper_bound(params: SieveParams, h: int | None = None) -> SieveRepor
                        remainder_majorized=rem_maj, remainder_signed=rem_signed,
                        upper_bound=main + rem_maj, sifted_count=sifted,
                        exact_interval_count=exact_primes, theta=tb.theta,
-                       theta_prime=tb.theta_prime, rhs_theorem=rhs, bounds=tb)
+                       theta_prime=tb.theta_prime, rhs_theorem=rhs)
 
 
 def count_almost_primes(f: Form, x, k: int) -> int:

@@ -11,7 +11,9 @@ range threshold; rows outside the theorem's range (e.g. capped below it) are
 na and skip the counting, as are rows whose threshold overflows a float.
 Almost mode needs k >= 10 (5k - 49 > 0).  `sample` keeps the rows at
 sorted(Random(seed).sample(range(n), sample)), the rows that sampling the row
-list itself would pick, and only they become tasks with an x and a y.
+list itself would pick, and only they are built.  Each row is one
+`SweepRecord` from the key list to the CSV: a row in range is "skipped" until
+it runs, and running it fills in its counts.
 
 Rows run in key order, serially or on a process pool, so records do not
 depend on `jobs` (runtime_ms is the one measured column).  The time budget is
@@ -28,11 +30,11 @@ import operator
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 from .arith import MASK_CAP, prime_table
-from .forms import Form, delta_f, reduced_forms_upto
+from .forms import Q_MAX, Form, delta_f, reduced_forms_upto
 from .sieve import (SieveParams, almost_range_x, almost_rhs, count_almost_primes,
                     full_range_x, interval_min_y, selberg_upper_bound)
 
@@ -101,12 +103,6 @@ def eval_rule(expr: str, D: int, a: int, phi: float, epsilon: float) -> float:
     return val
 
 
-# The key list of a sweep grows as Q^1.5: reduced_forms_upto(10^5) lists 4.58M
-# rows in about 2 s at a peak RSS of about 390 MiB (2-core VM, Python 3.11,
-# numpy 2.4).  A larger Q is refused before anything is allocated.
-Q_MAX = 100_000
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     Q: int
@@ -140,19 +136,6 @@ class SweepConfig:
             raise ValueError(f"slack must be a finite number > 0, got {self.slack}")
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
-
-
-@dataclass(frozen=True)
-class RowTask:
-    D: int
-    a: int
-    b: int
-    c: int
-    h: int
-    delta: float
-    x: float
-    y: float
-    applicable: bool
 
 
 @dataclass
@@ -193,8 +176,10 @@ class SweepResult:
     summary: SweepSummary
 
 
-def build_tasks(cfg: SweepConfig) -> list[RowTask]:
-    """The sweep's rows in key order; only the rows `sample` keeps become tasks."""
+def build_tasks(cfg: SweepConfig) -> list[SweepRecord]:
+    """The sweep's rows in key order, each a record with its x and y: "na"
+    outside the theorem's range, else "skipped" until it runs.  Only the
+    rows `sample` keeps are built."""
     keys = reduced_forms_upto(cfg.Q)
     n = len(keys[0])
     if cfg.sample is not None and cfg.sample < n:
@@ -204,7 +189,7 @@ def build_tasks(cfg: SweepConfig) -> list[RowTask]:
             for D, a, b, c, h in zip(*(col.tolist() for col in keys))]
 
 
-def _task(cfg: SweepConfig, D: int, f: Form, h: int) -> RowTask:
+def _task(cfg: SweepConfig, D: int, f: Form, h: int) -> SweepRecord:
     rule = partial(eval_rule, D=D, a=f.a, phi=cfg.phi_mode, epsilon=cfg.epsilon)
     x_min = (almost_range_x(D, f.a, cfg.k) if cfg.mode == "almost"
              else full_range_x(D, f.a, cfg.phi_mode, cfg.epsilon))
@@ -215,8 +200,8 @@ def _task(cfg: SweepConfig, D: int, f: Form, h: int) -> RowTask:
         y_min = interval_min_y(D, f.a, x, cfg.phi_mode, cfg.epsilon)
         y = _ceil_capped(rule(cfg.y_rule) if cfg.y_rule else y_min, x)
         applicable = applicable and y >= y_min - 1e-9
-    return RowTask(D=D, a=f.a, b=f.b, c=f.c, h=h, delta=delta_f(f), x=x, y=y,
-                   applicable=applicable)
+    return SweepRecord(D=D, a=f.a, b=f.b, c=f.c, h=h, delta_f=delta_f(f), x=x, y=y,
+                       pass_="skipped" if applicable else "na")
 
 
 def _ceil_capped(value: float, cap: float) -> float:
@@ -224,41 +209,36 @@ def _ceil_capped(value: float, cap: float) -> float:
     return float(cap if value >= cap else min(math.ceil(value), cap))
 
 
-def _record(t: RowTask, pass_: str, **counts) -> SweepRecord:
-    return SweepRecord(D=t.D, a=t.a, b=t.b, c=t.c, h=t.h, delta_f=t.delta,
-                       x=t.x, y=t.y, pass_=pass_, **counts)
-
-
-def _run_row(cfg: SweepConfig, t: RowTask) -> SweepRecord:
-    f = Form(t.a, t.b, t.c)
+def _run_row(cfg: SweepConfig, row: SweepRecord) -> SweepRecord:
+    f = Form(row.a, row.b, row.c)
     start = time.perf_counter()
     if cfg.mode == "almost":
-        exact = count_almost_primes(f, t.x, cfg.k)
-        rhs = almost_rhs(t.D, t.x)
-        rec = _record(t, "1" if exact >= rhs / cfg.slack else "0",
+        exact = count_almost_primes(f, row.x, cfg.k)
+        rhs = almost_rhs(row.D, row.x)
+        counts = dict(pass_="1" if exact >= rhs / cfg.slack else "0",
                       exact_count=exact, rhs_theorem=rhs)
     else:
-        params = SieveParams.of(f, t.x, t.y, phi_mode=cfg.phi_mode, epsilon=cfg.epsilon)
-        rep = selberg_upper_bound(params, t.h)
+        params = SieveParams.of(f, row.x, row.y, phi_mode=cfg.phi_mode,
+                                epsilon=cfg.epsilon)
+        rep = selberg_upper_bound(params, row.h)
         ok = rep.exact_interval_count < rep.rhs_theorem * cfg.slack
         theta = rep.theta_prime if cfg.mode == "interval" else rep.theta
-        rec = _record(t, "1" if ok else "0", z=params.z,
+        counts = dict(pass_="1" if ok else "0", z=params.z,
                       exact_count=rep.exact_interval_count, upper_bound=rep.upper_bound,
                       rhs_theorem=rep.rhs_theorem, theta_or_theta_prime=theta,
                       sifted_count=rep.sifted_count,
                       sieve_valid=rep.upper_bound >= rep.sifted_count)
-    rec.runtime_ms = int((time.perf_counter() - start) * 1000)
-    return rec
+    return replace(row, runtime_ms=int((time.perf_counter() - start) * 1000), **counts)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     if cfg.x_max > MASK_CAP:
         raise ValueError(f"x_max {cfg.x_max:g} exceeds the table cap {MASK_CAP:g}")
-    tasks = build_tasks(cfg)
+    rows = build_tasks(cfg)
     start = time.monotonic()
-    live = [t for t in tasks if t.applicable]
+    live = [r for r in rows if r.pass_ == "skipped"]
     # pi_f reads the prime mask up to each row's x: size it once, for the largest
-    mask_x = (math.floor(max((t.x for t in live), default=0))
+    mask_x = (math.floor(max((r.x for r in live), default=0))
               if cfg.mode != "almost" else 0)
     run = partial(_run_row, cfg)
     pool, results = None, map(run, live)
@@ -272,12 +252,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         prime_table(mask_x)
     records, expired = [], False
     try:
-        for t in tasks:
-            if t.applicable and not expired:
+        for row in rows:
+            if row.pass_ == "skipped" and not expired:
                 expired = (cfg.time_budget is not None
                            and time.monotonic() - start > cfg.time_budget)
-            records.append(_record(t, "na") if not t.applicable
-                           else _record(t, "skipped") if expired else next(results))
+                row = row if expired else next(results)
+            records.append(row)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)

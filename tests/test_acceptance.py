@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from bqfsieve.arith import kronecker, mult_functions, sieve_primes
+from bqfsieve.arith import kronecker, mult_functions, primes_upto
 from bqfsieve.characters import (L_values, average_exceptional_report,
                                  class_number_estimate, family)
 from bqfsieve.forms import Form, enumerate_class_set, scale_form
@@ -101,7 +101,7 @@ def test_criterion_01_exact_decompositions(decomposition_sweep):
 def test_criterion_02_root_count_formula():
     started = time.time()
     rng = random.Random(20250810)
-    primes = sieve_primes(100).primes
+    primes = primes_upto(100)
     checked = 0
     forms = []
     while len(forms) < 50:

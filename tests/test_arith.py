@@ -40,7 +40,7 @@ def test_kronecker_low_arguments():
 
 def test_kronecker_quadratic_residue_oracle():
     # against brute-force squares, all discriminants D <= 500, odd p <= 97
-    primes = [p for p in sieve_primes(97).primes if p > 2]
+    primes = primes_upto(97)[1:]
     for D in range(3, 501):
         if D % 4 not in (0, 3):
             continue
@@ -66,18 +66,17 @@ def test_kronecker_multiplicative_exhaustive_grid():
 
 
 def test_sieve_primes():
-    assert sieve_primes(10).primes == (2, 3, 5, 7)
-    assert sieve_primes(2).primes == (2,)
-    assert sieve_primes(100).count() == 25
+    assert np.flatnonzero(sieve_primes(10)).tolist() == [2, 3, 5, 7]
+    assert np.flatnonzero(sieve_primes(2)).tolist() == [2]
+    assert np.count_nonzero(sieve_primes(100)) == 25
     with pytest.raises(ValueError):
         sieve_primes(1)
 
 
 def test_prime_table_membership():
-    t = sieve_primes(50)
-    assert 47 in t and 49 not in t
-    with pytest.raises(ValueError):
-        51 in t
+    mask = sieve_primes(50)
+    assert len(mask) == 51
+    assert mask[47] and not mask[49]
 
 
 def test_factorize_examples():
@@ -163,7 +162,7 @@ def test_factorize_beyond_the_trial_table():
 @pytest.fixture
 def fresh_tables(monkeypatch):
     """An empty set of shared tables, and a log of every sieve_primes build."""
-    monkeypatch.setattr(arith, "_table", None)
+    monkeypatch.setattr(arith, "_mask", np.zeros(0, dtype=bool))
     monkeypatch.setattr(arith, "_spf", np.zeros(0, dtype=np.int32))
     monkeypatch.setattr(arith, "_omega", np.zeros(0, dtype=np.uint8))
     builds = []
@@ -182,18 +181,18 @@ def uncached_factors(n):
 
 
 def test_mask_against_miller_rabin(fresh_tables):
-    mask = prime_table(10**5).mask
+    mask = prime_table(10**5)
     assert [bool(v) for v in mask[: 10**5 + 1]] == [is_prime(n) for n in range(10**5 + 1)]
     # across a growth boundary: the table built at 2^16 cells is rebuilt at
     # max(request, 2 x current) and stays exact past the old limit
-    arith._table = None
+    arith._mask = np.zeros(0, dtype=bool)
     fresh_tables.clear()
     first = prime_table(1000)
-    assert first.limit == 1 << 16 and fresh_tables == [1 << 16]
+    assert len(first) - 1 == 1 << 16 and fresh_tables == [1 << 16]
     grown = prime_table((1 << 16) + 10)
-    assert grown.limit == 1 << 17 and fresh_tables == [1 << 16, 1 << 17]
+    assert len(grown) - 1 == 1 << 17 and fresh_tables == [1 << 16, 1 << 17]
     lo = (1 << 16) - 2000
-    assert ([bool(v) for v in grown.mask[lo:]]
+    assert ([bool(v) for v in grown[lo:]]
             == [is_prime(n) for n in range(lo, (1 << 17) + 1)])
 
 
@@ -232,11 +231,11 @@ def test_spf_and_omega_blocks_straddling_2_20(fresh_tables):
 
 def test_tables_hold_python_ints_and_read_only_arrays(fresh_tables):
     ps = primes_upto(1000)
-    assert tuple(ps) == sieve_primes(1000).primes and len(ps) == 168
+    assert ps == np.flatnonzero(sieve_primes(1000)).tolist() and len(ps) == 168
     assert all(type(p) is int for p in ps)
     assert all(type(p) is int for p, _ in factorize(2**3 * 3 * 999983).factors)
     assert primes_upto(1) == [] and primes_upto(2) == [2]
-    arrays = (prime_table(100).mask, sieve_primes(100).mask, spf_upto(100),
+    arrays = (prime_table(100), sieve_primes(100), spf_upto(100),
               arith._spf_block(50, 100), big_omega_upto(100))
     for arr in arrays:
         assert not arr.flags.writeable
@@ -268,5 +267,5 @@ def test_presized_sweep_builds_once(fresh_tables):
     cfg = SweepConfig(Q=150, sample=30, seed=3)
     res = run_sweep(cfg)
     assert res.summary.passes > 0
-    x_top = max(t.x for t in build_tasks(cfg) if t.applicable)
+    x_top = max(t.x for t in build_tasks(cfg) if t.pass_ != "na")
     assert x_top > 1 << 16 and fresh_tables == [math.floor(x_top)]

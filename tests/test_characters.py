@@ -7,7 +7,7 @@ from scipy.special import digamma
 
 from bqfsieve import characters
 from bqfsieve.arith import kronecker
-from bqfsieve.characters import (_CHI_D_MAX, EULER_GAMMA, ErrorFunctionals,
+from bqfsieve.characters import (EULER_GAMMA, ErrorFunctionals,
                                  L_values, _chi_period, _functional_minima,
                                  _x_grid, _y_grid, average_exceptional_report,
                                  char_prefix_sums, char_profile,
@@ -15,7 +15,7 @@ from bqfsieve.characters import (_CHI_D_MAX, EULER_GAMMA, ErrorFunctionals,
                                  dirichlet_convolution_table, error_functionals,
                                  family, scan_discriminant,
                                  sum_local_densities, weighted_dirichlet_sums)
-from bqfsieve.forms import Form, enumerate_class_set, fundamental_part
+from bqfsieve.forms import D_MAX, Form, enumerate_class_set, fundamental_part
 
 
 def test_char_prefix_sums_examples():
@@ -49,7 +49,7 @@ def test_profile_matches_kronecker():
                              rng.integers(1, D + 1, 3000)])
         assert all(chi[n] == kronecker(-D, int(n)) for n in ns), D
     with pytest.raises(ValueError):
-        _chi_period(_CHI_D_MAX + 1)
+        _chi_period(D_MAX + 1)
 
 
 def test_prefix_sum_step_invariant():

@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from bqfsieve import characters, cli, sweeps
+from bqfsieve import characters, cli, forms, sweeps
 from bqfsieve.characters import family
 from bqfsieve.cli import main
 from bqfsieve.forms import delta_f, enumerate_class_set
@@ -378,7 +379,7 @@ def test_build_tasks_interval_window():
     tasks = build_tasks(cfg)
     assert tasks
     for t in tasks:
-        if t.applicable:
+        if t.pass_ != "na":
             assert t.y <= t.x
             thr = (t.D ** 2 / t.a) ** 0.7 * t.x ** 0.7
             assert t.y >= thr - 1
@@ -466,19 +467,50 @@ def test_verify_rejects_Q_above_cap_before_allocating(capsys):
     SweepConfig(Q=sweeps.Q_MAX)  # the cap itself is accepted
 
 
-def _exit_in_worker(parent_pid):
-    def fake(*args, **kwargs):
-        if os.getpid() != parent_pid:
-            os._exit(1)
-        raise AssertionError("the row ran in the parent process")
-    return fake
+def _refuse(*args, **kwargs):
+    raise AssertionError("an O(D) character table was built past D_MAX")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("family", "--Q", str(forms.Q_MAX + 1)), f"Q must lie in [3, {forms.Q_MAX}]"),
+    (("classgroup", str(forms.D_MAX + 3)), "exceeds D_MAX"),
+    (("pif", "1", "1", str((forms.D_MAX + 4) // 4), "1000"),  # D = D_MAX + 3
+     "exceeds D_MAX"),
+    (("sieve", "3000", "1", "3334", "20000"), "exceeds D_MAX"),  # D = 40,007,999
+], ids=["family-Q", "classgroup-D", "pif-D", "sieve-D"])
+def test_memory_sized_inputs_exit_2_before_allocating(capsys, monkeypatch, argv,
+                                                      message):
+    import tracemalloc
+
+    monkeypatch.setattr(characters, "_chi_period", _refuse)
+    # pif and sieve are guarded by the patch above, untraced: the sieve counts
+    # primes up to x before it needs h, and a traced O(D) class enumeration
+    # behind a regressed check would run for minutes
+    if argv[0] in ("family", "classgroup"):
+        tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and message in err and "Traceback" not in err
+    assert peak < 1 << 20
+
+
+def _exit_in_worker(parent_pid, *args, **kwargs):
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    raise AssertionError("the row ran in the parent process")
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched function reaches the workers by fork")
 @pytest.mark.parametrize("command", ["verify", "family"])
 def test_dead_worker_exits_3(capsys, monkeypatch, command):
-    fake = _exit_in_worker(os.getpid())
+    # a module-level function, so that it also reaches the workers inside a
+    # pickled partial
+    fake = functools.partial(_exit_in_worker, os.getpid())
     if command == "verify":
         monkeypatch.setattr(sweeps, "selberg_upper_bound", fake)
     else:
@@ -515,9 +547,9 @@ def _build_all_sorted(cfg):
                          else y_threshold(D, f.a, x))
                 y = float(min(math.ceil(raw_y), x))
                 applicable = applicable and y >= y_threshold(D, f.a, x) - 1e-9
-            tasks.append(sweeps.RowTask(D=D, a=f.a, b=f.b, c=f.c, h=cs.h,
-                                        delta=delta_f(f), x=x, y=y,
-                                        applicable=applicable))
+            tasks.append(sweeps.SweepRecord(D=D, a=f.a, b=f.b, c=f.c, h=cs.h,
+                                            delta_f=delta_f(f), x=x, y=y,
+                                            pass_="skipped" if applicable else "na"))
     return sorted(tasks, key=_task_key)
 
 
@@ -526,7 +558,7 @@ def _task_key(t):
 
 
 def _sample_after_build(tasks, cfg):
-    """The second half: Random(seed).sample over the built RowTasks."""
+    """The second half: Random(seed).sample over the built rows."""
     if cfg.sample is not None and cfg.sample < len(tasks):
         return sorted(random.Random(cfg.seed).sample(tasks, cfg.sample), key=_task_key)
     return tasks
@@ -541,11 +573,11 @@ def _sample_after_build(tasks, cfg):
 def test_build_tasks_samples_by_index(Q, mode):
     every = _build_all_sorted(SweepConfig(Q=Q, **mode))
     n = len(every)
-    assert any(t.applicable for t in every)
+    assert any(t.pass_ != "na" for t in every)
     for seed in range(20):
         for k in (1, 5, 100, n - 1, n, n + 5):
             cfg = SweepConfig(Q=Q, seed=seed, sample=k, **mode)
-            # RowTask equality compares every field, x, y and applicable included
+            # record equality compares every field, x, y and pass_ included
             assert build_tasks(cfg) == _sample_after_build(every, cfg), (seed, k)
 
 
@@ -576,6 +608,25 @@ def test_time_budget_expires_mid_run(monkeypatch, jobs):
     strip = lambda r: dataclasses.replace(r, runtime_ms=None)
     assert [strip(r) for r in res.records if r.pass_ != "skipped"] == \
         [strip(r) for r in full if r.pass_ == "na" or (r.D, r.a, r.b, r.c) in live[:3]]
+
+
+def test_time_budget_returns_unrun_rows_as_built(monkeypatch):
+    # the clock reads 0 at the start and before the first live row, then 2:
+    # one row runs, and each later live row is the record build_tasks built
+    ticks = iter([0.0, 0.0])
+    monkeypatch.setattr(sweeps.time, "monotonic", lambda: next(ticks, 2.0))
+    cfg = SweepConfig(Q=60, x_max=2000.0, time_budget=1.0)
+    res = run_sweep(cfg)
+    built = build_tasks(cfg)
+    assert res.summary.partial and res.summary.passes + res.summary.failures == 1
+    unrun = [(r, b) for r, b in zip(res.records, built) if r.pass_ == "skipped"]
+    assert len(unrun) == res.summary.skipped > 0
+    counts = [fd.name for fd in dataclasses.fields(sweeps.SweepRecord)
+              if fd.name not in ("D", "a", "b", "c", "h", "delta_f", "x", "y", "z",
+                                 "pass_")]
+    for r, b in unrun:
+        assert r == b and b.pass_ == "skipped" and math.isnan(r.z)
+        assert all(getattr(r, name) is None for name in counts), r
 
 
 def test_theorem_sweep_script_csv_matches_verify(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bqfsieve import sieve
-from bqfsieve.forms import (Form, delta_f, enumerate_class_set, reduced_forms_upto,
-                            unit_count)
+from bqfsieve.forms import (Form, delta_f, enumerate_class_set, is_reduced,
+                            reduced_forms_upto, unit_count)
 from bqfsieve.lattice import count_A, EllipseWindow, local_density_g
 from bqfsieve.sieve import (SieveParams, count_almost_primes, full_range_x, pi_f,
                             pi_f_interval, prime_count_upto, selberg_system,
@@ -116,7 +117,7 @@ def test_selberg_upper_bound_dominates_sifted_at_forced_z():
             for (x, y) in ((500, 500), (2000, 1000), (10**4, 10**4)):
                 if y < math.sqrt(f.a * x):
                     continue
-                params = dataclasses.replace(SieveParams.of(f, x, y), z=z, R=z * z)
+                params = dataclasses.replace(SieveParams.of(f, x, y), z=z)
                 rep = selberg_upper_bound(params)
                 assert rep.upper_bound >= rep.sifted_count, (f, z, x, y)
                 assert rep.main_term + rep.remainder_signed >= rep.sifted_count
@@ -143,7 +144,7 @@ def test_sifted_count_equals_general_path():
                 continue
             pinned = SieveParams.of(f, x, y)
             assert pinned.z < 2
-            for params in [pinned] + [dataclasses.replace(pinned, z=z, R=z * z)
+            for params in [pinned] + [dataclasses.replace(pinned, z=z)
                                       for z in (1.5, 2.0, 3.0, 7.5)]:
                 rep = selberg_upper_bound(params)
                 assert rep.sifted_count == sifted_interval_count(f, x, y, params.z), (
@@ -223,6 +224,22 @@ def test_pi_f_interval_rejects_y_outside_0_x():
     assert pi_f_interval(f, 100, 100) == pi_f(f, 100) == 12
 
 
+def test_pi_f_interval_matches_difference_of_pi_f():
+    # one bitmap, sliced at floor(x - y), against the two counts it replaced
+    rng = random.Random(11)
+    forms = [Form(1, 0, 1), Form(2, 1, 3), Form(3, 2, 7)]
+    while len(forms) < 16:
+        a, b = rng.randint(1, 30), rng.randint(-40, 40)
+        c = rng.randint(b * b // (4 * a) + 1, b * b // (4 * a) + 30)
+        if math.gcd(math.gcd(a, b), c) == 1:
+            forms.append(Form(a, b, c))
+    assert any(is_reduced(f) for f in forms) and not all(is_reduced(f) for f in forms)
+    for f in forms:
+        for x in (2, 3.5, rng.randint(2, 10**5), rng.uniform(2, 10**5)):
+            for y in (0, x, x - 1, rng.uniform(0, x)):
+                assert pi_f_interval(f, x, y) == pi_f(f, x) - pi_f(f, x - y), (f, x, y)
+
+
 def test_selberg_rejects_bad_ranges():
     f = Form(1, 0, 1)
     with pytest.raises(ValueError):
@@ -243,7 +260,6 @@ def test_sieve_params_z_formula():
     p = SieveParams.of(f, 10**6, 10**5)
     expect = (f.a / (f.D * 10**6)) ** 0.25 * math.sqrt(10**5) * math.log(10**5) ** -7 + 1
     assert p.z == expect
-    assert p.R == p.z * p.z
 
 
 def test_theorem_rhs_examples():
@@ -263,7 +279,7 @@ def test_theorem_rhs_examples():
     # phi = 0 at the exact range boundary
     x0 = (D / f.a) ** 1.2
     tb0 = theorem_rhs(f, x0, x0, 0, 0.2)
-    assert tb0.range_ok_full and tb0.conditional
+    assert x0 >= full_range_x(f.D, f.a, 0, 0.2) and tb0.conditional
     assert tb0.theta < 1
 
 
