@@ -198,6 +198,7 @@ class LValues:
 # log u * P(s) - Q(s) with the coefficients below.
 _EM_PERIODS = 8
 _EM_ORDER = 10
+_SUM_CELLS = 1 << 20  # the direct sum takes max(1, _SUM_CELLS // D) periods at a time
 _EM_B = bernoulli(2 * _EM_ORDER)[2::2] / np.arange(2, 2 * _EM_ORDER + 1, 2)
 _EM_H = np.cumsum(1 / np.arange(1, 2 * _EM_ORDER + 1))
 _EM_P = np.append(_EM_B[::-1], 0.0)
@@ -231,8 +232,12 @@ def L_values(D: int) -> LValues:
     L1 = -float(np.sum(chi * digamma(r / D))) / D
 
     y = N * D
-    n = np.arange(1, y + 1, dtype=np.float64).reshape(N, D)
-    partial = float(np.sum(np.log(n) / n * chi))
+    step = max(1, _SUM_CELLS // D)  # one block, as one sum, for D <= 2^17
+    partial = 0.0
+    for k in range(0, N, step):
+        n = np.arange(k * D + 1, min(k + step, N) * D + 1, dtype=np.float64)
+        n = n.reshape(-1, D)
+        partial += float(np.sum(np.log(n) / n * chi))
     # log u = log y + log1p(r/y) keeps the cancelling log^2 u terms well
     # conditioned: -(1/2D) sum chi log^2 u = -(1/D) sum chi (log y ell + ell^2/2)
     ell = np.log1p(r / y)

@@ -3,10 +3,11 @@
 Subcommands: reduce, classgroup, count, pif, sieve, verify, family.
 Exit codes: 0 on success, 2 on usage/validation errors, 3 when a verification
 sweep contains a failing row or a pool worker of `verify` or `family` dies.
-CSV output always carries a header row; floats are printed with 10
-significant digits and booleans as 0/1.  JSON output is versioned under
-"schema": "bqf-sieve/1".  The environment variable BQF_THREADS overrides
---jobs; either is capped at JOBS_MAX = 64.
+Every report but verify's is printed by `_emit`, as text or as one JSON line;
+verify writes a CSV (CSV_COLUMNS, after a header row) or indented JSON.  Floats
+are printed with 10 significant digits and booleans as 0/1, and JSON is
+versioned under "schema": "bqf-sieve/1".  The environment variable BQF_THREADS
+overrides --jobs; either is capped at JOBS_MAX = 64.
 """
 
 from __future__ import annotations
@@ -19,16 +20,22 @@ import math
 import os
 import sys
 from concurrent.futures import BrokenExecutor
+from dataclasses import asdict
+from functools import partial
 
 from . import __version__
 from .characters import average_exceptional_report
 from .forms import Form, delta_f, enumerate_class_set, is_primitive, reduce_form
 from .lattice import EllipseWindow, count_congruence, local_density_report
 from .sieve import SieveParams, pi_f, pi_f_interval, selberg_upper_bound
-from .sweeps import CSV_COLUMNS, RuleError, SweepConfig, SweepRecord, run_sweep
+from .sweeps import RuleError, SweepConfig, SweepRecord, run_sweep
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED = 0, 2, 3
 JOBS_MAX = 64  # a pool forks all of its workers on its first task, ~60 MiB each
+SCHEMA = "bqf-sieve/1"
+CSV_COLUMNS = ["D", "a", "b", "c", "h", "delta_f", "x", "y", "z",
+               "exact_count", "upper_bound", "rhs_theorem",
+               "theta_or_theta_prime", "pass", "runtime_ms"]
 
 
 def _fmt(v) -> str:
@@ -41,56 +48,47 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _parse_form(args) -> Form:
-    return Form(args.a, args.b, args.c)
+def _emit(args, doc: dict, text: str) -> int:
+    """Print a command's report: `doc` tagged with SCHEMA on one line under
+    --format json, else `text`."""
+    print(json.dumps({"schema": SCHEMA, **doc}) if args.format == "json" else text)
+    return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    f = _parse_form(args)
-    r = reduce_form(f)
+    r = reduce_form(Form(args.a, args.b, args.c))
     out = {"a": r.a, "b": r.b, "c": r.c, "D": r.D,
            "delta": delta_f(r), "primitive": is_primitive(r)}
-    if args.format == "json":
-        print(json.dumps({"schema": "bqf-sieve/1", "reduce": out}))
-    else:
-        print("(%d,%d,%d) D=%d delta=%s primitive=%s"
-              % (r.a, r.b, r.c, r.D, _fmt(out["delta"]), _fmt(out["primitive"])))
-    return EXIT_OK
+    return _emit(args, {"reduce": out}, "(%d,%d,%d) D=%d delta=%s primitive=%s"
+                 % (r.a, r.b, r.c, r.D, _fmt(out["delta"]), _fmt(out["primitive"])))
 
 
 def cmd_classgroup(args) -> int:
     cs = enumerate_class_set(args.D)
-    if args.format == "json":
-        print(json.dumps({"schema": "bqf-sieve/1", "D": cs.D, "h": cs.h, "w": cs.w,
-                          "forms": [f.triple() for f in cs.reduced_forms]}))
-    else:
-        for f in cs.reduced_forms:
-            print("(%d,%d,%d) delta=%s" % (f.a, f.b, f.c, _fmt(delta_f(f))))
-        print("h(-%d) = %d, w = %d" % (cs.D, cs.h, cs.w))
-    return EXIT_OK
+    lines = ["(%d,%d,%d) delta=%s" % (f.a, f.b, f.c, _fmt(delta_f(f)))
+             for f in cs.reduced_forms]
+    lines.append("h(-%d) = %d, w = %d" % (cs.D, cs.h, cs.w))
+    return _emit(args, {"D": cs.D, "h": cs.h, "w": cs.w,
+                        "forms": [f.triple() for f in cs.reduced_forms]},
+                 "\n".join(lines))
 
 
 def cmd_count(args) -> int:
-    f = _parse_form(args)
+    f = Form(args.a, args.b, args.c)
     if not is_primitive(f):  # checked before any count, for the density below
         raise ValueError("local density is defined for primitive forms")
     window = EllipseWindow.of(f, args.x)
     cc = count_congruence(window, args.ell)
     rep = local_density_report(window, args.ell, exact=cc.a_ell)
-    if args.format == "json":
-        print(json.dumps({"schema": "bqf-sieve/1", "form": f.triple(),
-                          "x": args.x, "ell": args.ell, "counts": cc.counts,
-                          "local_density": {"exact": rep.exact, "main": rep.main,
-                                            "residual": rep.residual,
-                                            "envelope": rep.envelope}}))
-    else:
-        for label, n in cc.counts.items():
-            print(f"{label} = {n}")
-        print("M(%d) = %d, roots = %s" % (args.ell, cc.roots.M, list(cc.roots.roots)))
-        print("main = %s  residual = %s  envelope = %s  ratio = %s"
+    counts = cc.counts
+    lines = [f"{label} = {n}" for label, n in counts.items()]
+    lines += ["M(%d) = %d, roots = %s" % (args.ell, cc.roots.M, list(cc.roots.roots)),
+              "main = %s  residual = %s  envelope = %s  ratio = %s"
               % (_fmt(rep.main), _fmt(rep.residual), _fmt(rep.envelope),
-                 _fmt(rep.ratio)))
-    return EXIT_OK
+                 _fmt(rep.ratio))]
+    return _emit(args, {"form": f.triple(), "x": args.x, "ell": args.ell,
+                        "counts": counts, "local_density": asdict(rep)},
+                 "\n".join(lines))
 
 
 def _Li(x: float) -> float:
@@ -100,7 +98,7 @@ def _Li(x: float) -> float:
 
 
 def cmd_pif(args) -> int:
-    f = _parse_form(args)
+    f = Form(args.a, args.b, args.c)
     if not is_primitive(f):
         raise ValueError("pi_f needs a primitive form")
     # Chebotarev: each class takes 1/(2h) of the primes, and f represents those
@@ -114,23 +112,18 @@ def cmd_pif(args) -> int:
         count = pi_f(f, args.x)
         main = density * _Li(args.x)
         label = "pi_f(%g)" % args.x
-    if args.format == "json":
-        print(json.dumps({"schema": "bqf-sieve/1", "form": f.triple(), "x": args.x,
-                          "y": args.interval, "count": count,
-                          "chebotarev_main": main}))
-    else:
-        print("%s = %d  (Chebotarev main term %s)" % (label, count, _fmt(main)))
-    return EXIT_OK
+    return _emit(args, {"form": f.triple(), "x": args.x, "y": args.interval,
+                        "count": count, "chebotarev_main": main},
+                 "%s = %d  (Chebotarev main term %s)" % (label, count, _fmt(main)))
 
 
 def cmd_sieve(args) -> int:
-    f = _parse_form(args)
+    f = Form(args.a, args.b, args.c)
     y = args.y if args.y is not None else args.x
     params = SieveParams.of(f, args.x, y, phi_mode=args.phi, epsilon=args.epsilon)
     rep = selberg_upper_bound(params)
-    tag = " [conditional: GRH for chi_{-D}]" if args.phi == 0 else ""
-    payload = {
-        "schema": "bqf-sieve/1", "form": f.triple(), "x": args.x, "y": y,
+    doc = {
+        "form": f.triple(), "x": args.x, "y": y,
         "z": params.z, "J": rep.J, "script_J": rep.script_J,
         "main_term": rep.main_term, "remainder_majorized": rep.remainder_majorized,
         "remainder_signed": rep.remainder_signed, "upper_bound": rep.upper_bound,
@@ -141,18 +134,16 @@ def cmd_sieve(args) -> int:
         "degenerate_L_branch": rep.degenerate_L_branch,
         "conditional": args.phi == 0,
     }
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print("z = %s  J = %s  scriptJ = %s%s"
-              % (_fmt(params.z), _fmt(rep.J), _fmt(rep.script_J), tag))
-        print("main = %s  remainder = %s  upper_bound = %s"
-              % (_fmt(rep.main_term), _fmt(rep.remainder_majorized),
-                 _fmt(rep.upper_bound)))
-        print("sifted = %d  primes in interval = %d  rhs = %s"
-              % (rep.sifted_count, rep.exact_interval_count, _fmt(rep.rhs_theorem)))
-        ok = rep.upper_bound >= rep.sifted_count
-        print("sieve bound valid: %s" % _fmt(ok))
+    tag = " [conditional: GRH for chi_{-D}]" if args.phi == 0 else ""
+    lines = ["z = %s  J = %s  scriptJ = %s%s"
+             % (_fmt(params.z), _fmt(rep.J), _fmt(rep.script_J), tag),
+             "main = %s  remainder = %s  upper_bound = %s"
+             % (_fmt(rep.main_term), _fmt(rep.remainder_majorized),
+                _fmt(rep.upper_bound)),
+             "sifted = %d  primes in interval = %d  rhs = %s"
+             % (rep.sifted_count, rep.exact_interval_count, _fmt(rep.rhs_theorem)),
+             "sieve bound valid: %s" % _fmt(rep.upper_bound >= rep.sifted_count)]
+    _emit(args, doc, "\n".join(lines))
     if rep.degenerate_L_branch:
         print("anomaly: L(1,chi) < (log y)^-2, scriptJ took the (log y)^2 branch",
               file=sys.stderr)
@@ -160,11 +151,7 @@ def cmd_sieve(args) -> int:
 
 
 def _record_row(r: SweepRecord) -> list[str]:
-    return [_fmt(r.D), _fmt(r.a), _fmt(r.b), _fmt(r.c), _fmt(r.h),
-            _fmt(r.delta_f), _fmt(r.x), _fmt(r.y),
-            _fmt(r.z) if r.z == r.z else "",
-            _fmt(r.exact_count), _fmt(r.upper_bound), _fmt(r.rhs_theorem),
-            _fmt(r.theta_or_theta_prime), r.pass_, _fmt(r.runtime_ms)]
+    return [_fmt(getattr(r, "pass_" if c == "pass" else c)) for c in CSV_COLUMNS]
 
 
 def write_verify_csv(fh, records) -> None:
@@ -184,18 +171,14 @@ def cmd_verify(args) -> int:
     s = result.summary
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         if args.format == "json":
-            doc = {"schema": "bqf-sieve/1",
+            doc = {"schema": SCHEMA,
                    "config": {"Q": cfg.Q, "mode": cfg.mode, "phi": cfg.phi_mode,
                               "epsilon": cfg.epsilon, "x_rule": cfg.x_rule,
                               "y_rule": cfg.y_rule, "x_max": cfg.x_max, "k": cfg.k,
                               "slack": cfg.slack, "seed": cfg.seed},
                    "columns": CSV_COLUMNS,
                    "rows": [_record_row(r) for r in result.records],
-                   "summary": {"total": s.total, "passes": s.passes,
-                               "failures": s.failures,
-                               "not_applicable": s.not_applicable,
-                               "skipped": s.skipped, "max_ratio": s.max_ratio,
-                               "partial": s.partial}}
+                   "summary": asdict(s)}
             fh.write(json.dumps(doc, indent=1) + "\n")
         else:
             write_verify_csv(fh, result.records)
@@ -209,19 +192,12 @@ def cmd_verify(args) -> int:
 def cmd_family(args) -> int:
     rep = average_exceptional_report(args.Q, args.epsilon, x_cap=args.xmax,
                                      jobs=args.jobs)
-    payload = {"schema": "bqf-sieve/1", "Q": rep.Q, "epsilon": rep.epsilon,
-               "total": rep.total, "violators_E": rep.violators_E,
-               "violators_L": rep.violators_L, "fraction_E": rep.fraction_E,
-               "fraction_L": rep.fraction_L}
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print("family D <= %d: %d members" % (rep.Q, rep.total))
-        print("E-envelope violators: %d (fraction %s)"
-              % (rep.violators_E, _fmt(rep.fraction_E)))
-        print("-L'/L violators: %d (fraction %s)"
-              % (rep.violators_L, _fmt(rep.fraction_L)))
-    return EXIT_OK
+    lines = ["family D <= %d: %d members" % (rep.Q, rep.total),
+             "E-envelope violators: %d (fraction %s)"
+             % (rep.violators_E, _fmt(rep.fraction_E)),
+             "-L'/L violators: %d (fraction %s)"
+             % (rep.violators_L, _fmt(rep.fraction_L))]
+    return _emit(args, asdict(rep), "\n".join(lines))
 
 
 def _finite_float(text: str) -> float:
@@ -245,38 +221,36 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bqf", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    report = partial(sub.add_parser, parents=[fmt])  # a command printing via _emit
 
-    p = sub.add_parser("reduce", help="reduce a form; print D, delta, primitivity")
+    p = report("reduce", help="reduce a form; print D, delta, primitivity")
     _add_form_args(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("classgroup", help="list the reduced primitive forms of -D")
+    p = report("classgroup", help="list the reduced primitive forms of -D")
     p.add_argument("D", type=int)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_classgroup)
 
-    p = sub.add_parser("count", help="congruence counts and local density at x")
+    p = report("count", help="congruence counts and local density at x")
     _add_form_args(p)
     p.add_argument("x", type=_finite_float)
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("pif", help="primes up to x represented by the form")
+    p = report("pif", help="primes up to x represented by the form")
     _add_form_args(p)
     p.add_argument("x", type=_finite_float)
     p.add_argument("--interval", type=_finite_float, default=None, metavar="Y")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_pif)
 
-    p = sub.add_parser("sieve", help="run the Selberg upper-bound sieve once")
+    p = report("sieve", help="run the Selberg upper-bound sieve once")
     _add_form_args(p)
     p.add_argument("x", type=_finite_float)
     p.add_argument("--y", type=_finite_float, default=None)
     p.add_argument("--phi", type=float, choices=(0.0, 0.25), default=0.25)
     p.add_argument("--epsilon", type=_finite_float, default=0.2)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("verify", help="theorem-verification sweep over D <= Q")
@@ -298,12 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("family", help="average exceptional-set report over D <= Q")
+    p = report("family", help="average exceptional-set report over D <= Q")
     p.add_argument("--Q", type=int, required=True)
     p.add_argument("--epsilon", type=_finite_float, default=0.1)
     p.add_argument("--xmax", type=float, default=1e7)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_family)
 
     return ap

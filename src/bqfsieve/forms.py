@@ -143,8 +143,8 @@ class FormClassSet:
 # numpy 2.4).  A sweep and `characters.family` refuse a larger Q before
 # anything is allocated.
 Q_MAX = 100_000
-# Work per discriminant is O(D): L_values(10^7) peaks at +2.1 GiB RSS in 5.7 s
-# in a fresh process (same VM), and enumerate_class_set walks O(D) (a, b)
+# Work per discriminant is O(D): L_values(10^7) peaks at +0.95 GiB RSS in 5.3 s
+# in a fresh process (2-core VM), and enumerate_class_set walks O(D) (a, b)
 # steps.  A larger D is refused before anything is allocated.
 D_MAX = 10**7
 

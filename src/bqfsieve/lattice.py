@@ -90,6 +90,7 @@ class EllipseWindow:
 
 _EXACT_FLOAT = 1 << 52   # every integer below this is an exact float64
 _INT64_ROWS = 1 << 62    # T below this keeps v, lo, hi and their sums in int64
+_MAX_ROWS = 1 << 22      # window rows, ~73 B each in the kernel; a sweep row needs < 2^15
 _MAX_ELL = 1 << 21       # the l^2 residue scan's products stay below l^3 < 2^63
 _TABLE_CELLS = 1 << 16   # residue pairs (ubar, vbar) per block of the root table
 _CACHE_CELLS = 1 << 20   # cells of all memoised prefix blocks together
@@ -112,6 +113,9 @@ def _rows(f: Form, X: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if T >= _INT64_ROWS:
         raise ValueError("window too large: 4ax must stay below 2^62")
     vmax = math.isqrt(T // D) if T >= 0 else -1
+    if 2 * vmax + 1 > _MAX_ROWS:  # before any array, and before the isqrt loop
+        raise ValueError(f"window too large: f <= {X} spans {2 * vmax + 1} rows, "
+                         f"more than {_MAX_ROWS}")
     v = np.arange(-vmax, vmax + 1, dtype=np.int64)
     if D <= T < _EXACT_FLOAT:
         S = T - D * v * v

@@ -39,11 +39,7 @@ from .sieve import (SieveParams, almost_range_x, almost_rhs, count_almost_primes
                     full_range_x, interval_min_y, selberg_upper_bound)
 
 __all__ = ["SweepConfig", "SweepRecord", "SweepSummary", "SweepResult",
-           "RuleError", "run_sweep", "build_tasks", "eval_rule", "CSV_COLUMNS"]
-
-CSV_COLUMNS = ["D", "a", "b", "c", "h", "delta_f", "x", "y", "z",
-               "exact_count", "upper_bound", "rhs_theorem",
-               "theta_or_theta_prime", "pass", "runtime_ms"]
+           "RuleError", "run_sweep", "build_tasks", "eval_rule"]
 
 
 class RuleError(ValueError):
@@ -134,6 +130,8 @@ class SweepConfig:
             raise ValueError(f"almost mode needs k >= 10, got {self.k}")
         if not (math.isfinite(self.slack) and self.slack > 0):
             raise ValueError(f"slack must be a finite number > 0, got {self.slack}")
+        if self.sample is not None and self.sample < 0:
+            raise ValueError(f"sample must be >= 0, got {self.sample}")
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
 
@@ -148,7 +146,7 @@ class SweepRecord:
     delta_f: float
     x: float
     y: float
-    z: float = math.nan
+    z: float | None = None
     exact_count: int | None = None
     upper_bound: float | None = None
     rhs_theorem: float | None = None

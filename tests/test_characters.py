@@ -110,6 +110,19 @@ def test_L_values_against_mpmath():
         assert abs(lv.L1_prime - L1p) <= lv.error_bound <= 1e-7, D
 
 
+@pytest.mark.parametrize("periods", [1, 3, 5])
+def test_L_values_blocked_sum_matches_one_block(monkeypatch, periods):
+    # a few periods per block, as every D > 2^17 sums them, against one block
+    for D in (23, 300, 2003):
+        whole = L_values(D)
+        monkeypatch.setattr(characters, "_SUM_CELLS", periods * D)
+        monkeypatch.setattr(char_profile(D), "_lvals", None)
+        blocked = L_values(D)
+        assert (blocked.L1, blocked.error_bound) == (whole.L1, whole.error_bound), D
+        assert abs(blocked.L1_prime - whole.L1_prime) <= 1e-13, D
+        monkeypatch.undo()
+
+
 def _tail_two_psi(prof, vals, ys):
     """The closed-form tail with two digamma calls per cell."""
     D = prof.D

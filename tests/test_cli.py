@@ -7,6 +7,8 @@ import math
 import multiprocessing
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -173,6 +175,100 @@ def test_sieve_output_bytes(capsys, argv):
     text, js, err = SIEVE_GOLDEN[argv]
     assert run_cli(capsys, "sieve", *argv) == (0, text, err)
     assert run_cli(capsys, "sieve", *argv, "--format", "json") == (0, js, err)
+
+
+# Pinned bytes of the other report commands, text then JSON; none writes to stderr
+COMMAND_GOLDEN = {
+    ("reduce", "1", "5", "7"): (
+        "(1,1,1) D=3 delta=1 primitive=1\n",
+        '{"schema": "bqf-sieve/1", "reduce": {"a": 1, "b": 1, "c": 1, "D": 3, '
+        '"delta": 1.0, "primitive": true}}\n'),
+    ("classgroup", "23"): (
+        "(1,1,6) delta=1\n"
+        "(2,-1,3) delta=0.5\n"
+        "(2,1,3) delta=0.5\n"
+        "h(-23) = 3, w = 2\n",
+        '{"schema": "bqf-sieve/1", "D": 23, "h": 3, "w": 2, '
+        '"forms": [[1, 1, 6], [2, -1, 3], [2, 1, 3]]}\n'),
+    ("count", "1", "0", "1", "25", "--ell", "5"): (
+        "A_ell = 37\n"
+        "B_ell = 32\n"
+        "A_ell(1) = 32\n"
+        "A_ell(5) = 5\n"
+        "B_ell(2) = 16\n"
+        "B_ell(3) = 16\n"
+        "M(5) = 2, roots = [2, 3]\n"
+        "main = 28.27433388  residual = 8.725666118  envelope = 76  ratio = 0.1148113963\n",
+        '{"schema": "bqf-sieve/1", "form": [1, 0, 1], "x": 25.0, "ell": 5, '
+        '"counts": {"A_ell": 37, "B_ell": 32, "A_ell(1)": 32, "A_ell(5)": 5, '
+        '"B_ell(2)": 16, "B_ell(3)": 16}, "local_density": {"exact": 37, '
+        '"main": 28.274333882308138, "residual": 8.725666117691862, '
+        '"envelope": 76.0}}\n'),
+    ("pif", "1", "0", "1", "100"): (
+        "pi_f(100) = 12  (Chebotarev main term 14.5404889)\n",
+        '{"schema": "bqf-sieve/1", "form": [1, 0, 1], "x": 100.0, "y": null, '
+        '"count": 12, "chebotarev_main": 14.54048890198107}\n'),
+    ("pif", "1", "0", "1", "1000", "--interval", "500"): (
+        "pi_f(1000) - pi_f(500) = 36  (Chebotarev main term 37.90789275)\n",
+        '{"schema": "bqf-sieve/1", "form": [1, 0, 1], "x": 1000.0, "y": 500.0, '
+        '"count": 36, "chebotarev_main": 37.90789275076281}\n'),
+    ("family", "--Q", "100"): (
+        "family D <= 100: 50 members\n"
+        "E-envelope violators: 50 (fraction 1)\n"
+        "-L'/L violators: 0 (fraction 0)\n",
+        '{"schema": "bqf-sieve/1", "Q": 100, "epsilon": 0.1, "total": 50, '
+        '"violators_E": 50, "violators_L": 0, "fraction_E": 1.0, "fraction_L": 0.0}\n'),
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_GOLDEN), ids=" ".join)
+def test_command_output_bytes(capsys, argv):
+    text, js = COMMAND_GOLDEN[argv]
+    assert run_cli(capsys, *argv) == (0, text, "")
+    assert run_cli(capsys, *argv, "--format", "json") == (0, js, "")
+
+
+# `bqf verify --Q 30` rows without their last column, runtime_ms
+VERIFY_Q30_ROWS = [
+    "3,1,1,1,1,1,14,14,1.00164858,3,54,63.54410426,0.6660634622,1",
+    "4,1,0,1,1,1,28,28,1.000356577,4,88,100.5265498,0.6656467126,1",
+    "7,1,1,2,1,1,107,107,1.000040645,12,254.2116562,274.469361,0.6662893825,1",
+    "8,1,0,2,1,1,148,148,1.00002665,18,329.5466748,354.4685597,0.6657925028,1",
+    "11,1,1,3,1,1,316,316,1.000011063,29,601.2934429,658.6387163,0.6665747516,1",
+    "12,1,0,3,1,1,390,390,1.000008874,37,712,783.802973,0.666401752,1",
+    "15,1,1,4,2,1,665,665,1.000005265,26,1090,613.7781513,0.666618813,1",
+    "15,2,1,2,2,1,290,290,1.000013238,18,476,285.6934875,0.6419417252,1",
+    "16,1,0,4,1,1,777,777,1.000004564,66,1221.017492,1400.442594,0.6665437179,1",
+    "19,1,1,5,1,1,1173,1173,1.000003183,96,1695.668839,1991.327217,0.6666038141,1",
+    "20,1,0,5,2,1,1326,1326,1.000002873,51,1865.961733,1106.498137,0.666651394,1",
+    "20,2,2,3,2,1,578,578,1.000006554,29,816,511.6064265,0.6447011296,1",
+    "23,1,1,6,3,1,1855,1855,1.000002192,42,2446.599747,985.8437503,0.6666264613,1",
+    "23,2,-1,3,3,0.5,808,808,1.000004804,46,1060,227.197463,0.6458441235,1",
+    "23,2,1,3,3,0.5,808,808,1.000004804,46,1060,227.197463,0.6458441235,1",
+    "24,1,0,6,2,1,2054,2054,1.000002025,72,2634.714702,1615.631979,0.6666478578,1",
+    "24,2,0,3,2,1,894,894,1.000004389,40,1152,743.7706626,0.6462520735,1",
+    "27,1,1,7,1,1,2725,2725,1.000001636,194,3304,4133.665727,0.6666485274,1",
+    "28,1,0,7,1,1,2973,2973,1.000001534,211,3540,4460.950467,0.6666636658,1",
+]
+
+
+def test_verify_json_output_bytes(capsys):
+    code, out, err = run_cli(capsys, "verify", "--Q", "30", "--format", "json")
+    # blank runtime_ms, the last element of each row in the indent=1 layout
+    out = re.sub(r'"\d+"\n  \]', '"RT"\n  ]', out)
+    doc = {"schema": "bqf-sieve/1",
+           "config": {"Q": 30, "mode": "full", "phi": 0.25, "epsilon": 0.2,
+                      "x_rule": None, "y_rule": None, "x_max": 1e7, "k": 10,
+                      "slack": 1.0, "seed": 0},
+           "columns": ["D", "a", "b", "c", "h", "delta_f", "x", "y", "z",
+                       "exact_count", "upper_bound", "rhs_theorem",
+                       "theta_or_theta_prime", "pass", "runtime_ms"],
+           "rows": [row.split(",") + ["RT"] for row in VERIFY_Q30_ROWS],
+           "summary": {"total": 19, "passes": 19, "failures": 0, "not_applicable": 0,
+                       "skipped": 0, "max_ratio": 0.20246704957674957,
+                       "partial": False}}
+    assert code == 0 and out == json.dumps(doc, indent=1) + "\n"
+    assert err == "total=19 passes=19 failures=0 na=0 skipped=0 max_ratio=0.2024670496\n"
 
 
 def test_sieve_command_json(capsys):
@@ -410,12 +506,15 @@ def test_run_sweep_records_sorted_and_flagged():
     ("--time-budget", "-1"),
     ("--epsilon", "0"),
     ("--epsilon", "-1"),
+    ("--sample", "-1"),
 ], ids=["k9", "k1", "almost-slack0", "slack-neg", "slack-nan", "slack-inf",
-        "budget-nan", "budget-neg", "epsilon0", "epsilon-neg"])
+        "budget-nan", "budget-neg", "epsilon0", "epsilon-neg", "sample-neg"])
 def test_verify_rejects_bad_config(capsys, argv):
-    # rejected by SweepConfig before any row runs, not by a ZeroDivisionError
+    # rejected by SweepConfig before any row runs, not by a ZeroDivisionError,
+    # with a message that names the field
     code, _, err = run_cli(capsys, "verify", "--Q", "20", *argv)
     assert code == 2 and "error" in err and "Traceback" not in err
+    assert argv[-2].lstrip("-").replace("-", "_") in err
 
 
 @pytest.mark.parametrize("command", [("verify", "--Q", "10"),
@@ -496,6 +595,37 @@ def test_memory_sized_inputs_exit_2_before_allocating(capsys, monkeypatch, argv,
     err = capsys.readouterr().err
     assert code == 2 and message in err and "Traceback" not in err
     assert peak < 1 << 20
+
+
+# f <= 1e17 spans 730,296,743 window rows (about 50 GiB of kernel arrays): the
+# child refuses an address space above 2 GiB, so a regressed check fails there
+_WINDOW_CHILD = """
+import resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+from bqfsieve.cli import main
+tracemalloc.start()
+code = main(sys.argv[1:])
+print(tracemalloc.get_traced_memory()[1])
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["count", "sieve"])
+def test_memory_sized_window_exits_2_before_allocating(command):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _WINDOW_CHILD, command, "1", "1", "1",
+                           "1e17"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert "window too large" in proc.stderr and "730296743 rows" in proc.stderr
+    assert int(proc.stdout) < 1 << 20
+
+
+def test_window_under_the_row_cap_still_counts(capsys):
+    # 2,309,401 rows: under the cap, and counted as before
+    code, out, _ = run_cli(capsys, "count", "1", "1", "1", "1e12")
+    assert code == 0 and out.startswith("A_ell = 3627598727173\n")
 
 
 def _exit_in_worker(parent_pid, *args, **kwargs):
@@ -625,7 +755,7 @@ def test_time_budget_returns_unrun_rows_as_built(monkeypatch):
               if fd.name not in ("D", "a", "b", "c", "h", "delta_f", "x", "y", "z",
                                  "pass_")]
     for r, b in unrun:
-        assert r == b and b.pass_ == "skipped" and math.isnan(r.z)
+        assert r == b and b.pass_ == "skipped" and r.z is None
         assert all(getattr(r, name) is None for name in counts), r
 
 
@@ -641,3 +771,18 @@ def test_theorem_sweep_script_csv_matches_verify(tmp_path, capsys):
     assert code == 0
     strip = lambda p: [l.rsplit(",", 1)[0] for l in p.read_text().splitlines()]
     assert strip(tmp_path / "script.csv") == strip(tmp_path / "cli.csv")
+
+
+def test_readme_cli_examples(capsys, monkeypatch, tmp_path):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("bqf ")]
+    assert len(lines) >= 8
+    monkeypatch.chdir(tmp_path)  # for the files that --out writes
+    monkeypatch.delenv("BQF_THREADS", raising=False)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, (line, err)
+        if comment.startswith(" -> "):
+            assert out == comment[4:] + "\n", line
