@@ -9,12 +9,14 @@ by a sweep), the spf table (int32, as far as asked) and the Omega table
 (filled in spf blocks) are read-only and grow to max(request, 2 x current),
 never past MASK_CAP cells.  `primes_upto` gives Python ints, so no numpy
 scalar reaches a Fraction, a cache key or pow.  `factorize` and
-`mult_functions` are memoised.
+`mult_functions` are memoised, and `CellMemo` is the package's one memo for
+arrays: least recently used out first, bounded by the cells it keeps.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -22,6 +24,7 @@ from itertools import chain
 import numpy as np
 
 __all__ = [
+    "CellMemo",
     "Factorization",
     "MultValues",
     "kronecker",
@@ -66,6 +69,36 @@ def _grown(have: int, want: int, what: str) -> int:
     if want > MASK_CAP:
         raise ValueError(f"{what} limited to 2e8; use a smaller x")
     return min(max(want, 2 * have), MASK_CAP)
+
+
+class CellMemo:
+    """`build(key)` memoised, least recently used out first: the kept values
+    cost `cost(value)` cells each and `bound` cells in all, and a value that
+    costs more than `bound` is built and not kept."""
+
+    def __init__(self, build, cost, bound: int):
+        self.build, self.cost, self.bound = build, cost, bound
+        self.kept = OrderedDict()
+        self.cells = 0
+
+    def __call__(self, key):
+        value = self.kept.pop(key, None)  # put back last: most recently used
+        if value is None:
+            value = self.build(key)
+            if self.cost(value) > self.bound:
+                return value
+            self.cells += self.cost(value)
+        self.kept[key] = value
+        while self.cells > self.bound:
+            self.cells -= self.cost(self.kept.popitem(last=False)[1])
+        return value
+
+    def __contains__(self, key) -> bool:
+        return key in self.kept
+
+    def cache_clear(self) -> None:
+        self.kept.clear()
+        self.cells = 0
 
 
 def prime_table(limit: int) -> np.ndarray:

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import bernoulli, digamma
 
-from .arith import primes_upto, spf_upto
+from .arith import CellMemo, primes_upto, spf_upto
 from .forms import D_MAX, Q_MAX, Form, is_discriminant, unit_count
 from .lattice import local_density_g
 
@@ -90,10 +90,30 @@ def _chi_period(D: int) -> np.ndarray:
     return chi
 
 
+@dataclass(frozen=True)
+class LValues:
+    L1: float
+    L1_prime: float
+    error_bound: float
+
+
+# L'(1,chi) sums N periods directly and closes the tail with the
+# Euler-Maclaurin terms of order 1, 3, ..., 2q-1.  Their sum
+# sum_j B_2j/(2j) (log u - H_{2j-1}) s^j, s = (D/u)^2, is evaluated as
+# log u * P(s) - Q(s) with the coefficients below.
+_EM_PERIODS = 8
+_EM_ORDER = 10
+_SUM_CELLS = 1 << 20  # the direct sum takes max(1, _SUM_CELLS // D) periods at a time
+_EM_B = bernoulli(2 * _EM_ORDER)[2::2] / np.arange(2, 2 * _EM_ORDER + 1, 2)
+_EM_H = np.cumsum(1 / np.arange(1, 2 * _EM_ORDER + 1))
+_EM_P = np.append(_EM_B[::-1], 0.0)
+_EM_Q = np.append((_EM_B * _EM_H[0::2])[::-1], 0.0)
+
+
 class CharacterProfile:
-    """Period-level data for chi_{-D}: values, prefix sums, and the exact
+    """Period-level data for chi_{-D}: values, prefix sums, the exact
     period statistics (max, mean, cumulative deviation) that certify every
-    tail truncation."""
+    tail truncation, and the L-values once read."""
 
     def __init__(self, D: int):
         if not is_discriminant(D):
@@ -110,10 +130,46 @@ class CharacterProfile:
         self.S_mod[1:] = csum[:-1]
         self.S_mod[0] = 0
         self.abs_S = np.abs(self.S_mod)
+        for arr in (self.chi, self.S_mod, self.abs_S):  # shared through the memo
+            arr.setflags(write=False)
         self.s_max = int(np.max(self.abs_S))
         self._mu_absS = float(np.sum(self.abs_S)) / D
         self._r_dev_absS = self._max_cum_deviation(self.abs_S, self._mu_absS)
-        self._lvals: LValues | None = None
+
+    @cached_property
+    def lvals(self) -> LValues:
+        """L(1,chi) and L'(1,chi), computed once per profile; see `L_values`."""
+        D, N, q = self.D, _EM_PERIODS, _EM_ORDER
+        chi = self.chi[1:].astype(np.float64)
+        r = np.arange(1, D + 1, dtype=np.float64)
+        L1 = -float(np.sum(chi * digamma(r / D))) / D
+
+        y = N * D
+        step = max(1, _SUM_CELLS // D)  # one block, as one sum, for D <= 2^17
+        partial = 0.0
+        for k in range(0, N, step):
+            n = np.arange(k * D + 1, min(k + step, N) * D + 1, dtype=np.float64)
+            n = n.reshape(-1, D)
+            partial += float(np.sum(np.log(n) / n * chi))
+        # log u = log y + log1p(r/y) keeps the cancelling log^2 u terms well
+        # conditioned: -(1/2D) sum chi log^2 u = -(1/D) sum chi (log y ell + ell^2/2)
+        ell = np.log1p(r / y)
+        log_y = math.log(y)
+        u = y + r
+        log_u = log_y + ell
+        s = (D / u) ** 2
+        em = log_u * np.polyval(_EM_P, s) - np.polyval(_EM_Q, s)
+        tail = (em - log_y * ell - ell * ell / 2) / D + log_u / (2 * u)
+        L1p = -(partial + float(np.sum(tail * chi)))
+
+        # |h^(2q)(v)| <= (2q)! (log v + H_2q) / v^(2q+1) and D/u <= 1/N
+        remainder = (abs(_EM_B[-1]) / N ** (2 * q)
+                     * (math.log(y + D) + _EM_H[-1] + 1 / (2 * q)))
+        # sum_{n<=y} log n/n <= log^2 y/2 + 1, and the tail pieces add at most
+        # 2 log(y+D)/N + 1 in absolute value (ell <= 1/N, u >= y)
+        mass = log_y**2 / 2 + 2 + 2 * math.log(y + D) / N
+        rounding = (y + D + 4 * q + 16) * np.finfo(np.float64).eps * mass
+        return LValues(L1=L1, L1_prime=L1p, error_bound=remainder + rounding)
 
     @staticmethod
     def _max_cum_deviation(vals: np.ndarray, mu: float) -> float:
@@ -151,17 +207,12 @@ class CharacterProfile:
         return out if np.ndim(y) else float(out[0])
 
 
-_profile_cache: dict[int, CharacterProfile] = {}
+# D period cells a profile (<= 9 B each): every D <= D_MAX is kept once built
+_profile_cache = CellMemo(CharacterProfile, lambda prof: prof.D, 1 << 24)
 
 
 def char_profile(D: int) -> CharacterProfile:
-    prof = _profile_cache.get(D)
-    if prof is None:
-        prof = CharacterProfile(D)
-        if len(_profile_cache) > 64:
-            _profile_cache.clear()
-        _profile_cache[D] = prof
-    return prof
+    return _profile_cache(D)
 
 
 @dataclass(frozen=True)
@@ -179,30 +230,9 @@ def char_prefix_sums(D: int, T: int) -> PrefixSums:
     if T < 1:
         raise ValueError("T must be >= 1")
     prof = char_profile(D)
-    reps = -(-T // D)
-    chi_run = np.tile(prof.chi[1:], reps)[:T]
-    S = np.concatenate([[0], np.cumsum(chi_run, dtype=np.int64)])
+    # S has period D, as the period sum vanishes
+    S = prof.S_mod[np.arange(T + 1) % D].astype(np.int64)
     return PrefixSums(D=D, T=T, S=S, profile=prof)
-
-
-@dataclass(frozen=True)
-class LValues:
-    L1: float
-    L1_prime: float
-    error_bound: float
-
-
-# L'(1,chi) sums N periods directly and closes the tail with the
-# Euler-Maclaurin terms of order 1, 3, ..., 2q-1.  Their sum
-# sum_j B_2j/(2j) (log u - H_{2j-1}) s^j, s = (D/u)^2, is evaluated as
-# log u * P(s) - Q(s) with the coefficients below.
-_EM_PERIODS = 8
-_EM_ORDER = 10
-_SUM_CELLS = 1 << 20  # the direct sum takes max(1, _SUM_CELLS // D) periods at a time
-_EM_B = bernoulli(2 * _EM_ORDER)[2::2] / np.arange(2, 2 * _EM_ORDER + 1, 2)
-_EM_H = np.cumsum(1 / np.arange(1, 2 * _EM_ORDER + 1))
-_EM_P = np.append(_EM_B[::-1], 0.0)
-_EM_Q = np.append((_EM_B * _EM_H[0::2])[::-1], 0.0)
 
 
 def L_values(D: int) -> LValues:
@@ -222,43 +252,7 @@ def L_values(D: int) -> LValues:
     (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2),
     with slack for the few operations that form each value.
     """
-    prof = char_profile(D)
-    cached = prof._lvals
-    if cached is not None:
-        return cached
-    D, N, q = prof.D, _EM_PERIODS, _EM_ORDER
-    chi = prof.chi[1:].astype(np.float64)
-    r = np.arange(1, D + 1, dtype=np.float64)
-    L1 = -float(np.sum(chi * digamma(r / D))) / D
-
-    y = N * D
-    step = max(1, _SUM_CELLS // D)  # one block, as one sum, for D <= 2^17
-    partial = 0.0
-    for k in range(0, N, step):
-        n = np.arange(k * D + 1, min(k + step, N) * D + 1, dtype=np.float64)
-        n = n.reshape(-1, D)
-        partial += float(np.sum(np.log(n) / n * chi))
-    # log u = log y + log1p(r/y) keeps the cancelling log^2 u terms well
-    # conditioned: -(1/2D) sum chi log^2 u = -(1/D) sum chi (log y ell + ell^2/2)
-    ell = np.log1p(r / y)
-    log_y = math.log(y)
-    u = y + r
-    log_u = log_y + ell
-    s = (D / u) ** 2
-    em = log_u * np.polyval(_EM_P, s) - np.polyval(_EM_Q, s)
-    tail = (em - log_y * ell - ell * ell / 2) / D + log_u / (2 * u)
-    L1p = -(partial + float(np.sum(tail * chi)))
-
-    # |h^(2q)(v)| <= (2q)! (log v + H_2q) / v^(2q+1) and D/u <= 1/N
-    remainder = (abs(_EM_B[-1]) / N ** (2 * q)
-                 * (math.log(y + D) + _EM_H[-1] + 1 / (2 * q)))
-    # sum_{n<=y} log n/n <= log^2 y/2 + 1, and the tail pieces add at most
-    # 2 log(y+D)/N + 1 in absolute value (ell <= 1/N, u >= y)
-    mass = log_y**2 / 2 + 2 + 2 * math.log(y + D) / N
-    rounding = (y + D + 4 * q + 16) * np.finfo(np.float64).eps * mass
-    vals = LValues(L1=L1, L1_prime=L1p, error_bound=remainder + rounding)
-    prof._lvals = vals
-    return vals
+    return char_profile(D).lvals
 
 
 def class_number_estimate(D: int) -> tuple[int, float]:

@@ -22,10 +22,10 @@ v >= 0 rows of the reduced form): a U = arange and a U^2 once per window, then
 one allocation and two in-place adds per row.  `value_bitmap` and
 `sieve.sifted_interval_count` both read it.
 
-One cache policy covers the counts: a window computes its rows once
+The package's cache policy covers the counts: a window computes its rows once
 (`EllipseWindow.rows`, read-only) and every count on it shares them; the
-prefix blocks of the residue table sit in one LRU bounded by _CACHE_CELLS
-cells in all, keyed by (a, b, c mod l, l, block); and `arith.factorize`,
+prefix blocks of the residue table sit in one `arith.CellMemo` bounded by
+_CACHE_CELLS cells in all; and `arith.factorize`,
 `arith.mult_functions`, `local_density_g` (per D and l) and the roots of f
 mod each prime are memoised.
 The primes come from the one prime table in `arith`.  Cached arrays are
@@ -35,14 +35,13 @@ read-only, so no caller can change a later count.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import divisors, factorize, kronecker, mult_functions
+from .arith import CellMemo, divisors, factorize, kronecker, mult_functions
 from .forms import Form, is_primitive, reduce_form
 
 __all__ = [
@@ -94,6 +93,20 @@ _MAX_ROWS = 1 << 22      # window rows, ~73 B each in the kernel; a sweep row ne
 _MAX_ELL = 1 << 21       # the l^2 residue scan's products stay below l^3 < 2^63
 _TABLE_CELLS = 1 << 16   # residue pairs (ubar, vbar) per block of the root table
 _CACHE_CELLS = 1 << 20   # cells of all memoised prefix blocks together
+_RESIDUE_CELLS = 1 << 26  # cells of the prefix blocks one window reads
+
+
+def _row_span(f: Form, X: int) -> int:
+    """The largest |v| of a row of {f <= X}, isqrt(4aX // D) (-1 for X < 0);
+    a window over its caps is refused here, before any array."""
+    T = 4 * f.a * X
+    if T >= _INT64_ROWS:
+        raise ValueError("window too large: 4ax must stay below 2^62")
+    vmax = math.isqrt(T // f.D) if T >= 0 else -1
+    if 2 * vmax + 1 > _MAX_ROWS:  # before the isqrt loop of `_rows`
+        raise ValueError(f"window too large: f <= {X} spans {2 * vmax + 1} rows, "
+                         f"more than {_MAX_ROWS}")
+    return vmax
 
 
 def _rows(f: Form, X: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,12 +123,7 @@ def _rows(f: Form, X: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     a, b, D = f.a, f.b, f.D
     T = 4 * a * X
-    if T >= _INT64_ROWS:
-        raise ValueError("window too large: 4ax must stay below 2^62")
-    vmax = math.isqrt(T // D) if T >= 0 else -1
-    if 2 * vmax + 1 > _MAX_ROWS:  # before any array, and before the isqrt loop
-        raise ValueError(f"window too large: f <= {X} spans {2 * vmax + 1} rows, "
-                         f"more than {_MAX_ROWS}")
+    vmax = _row_span(f, X)
     v = np.arange(-vmax, vmax + 1, dtype=np.int64)
     if D <= T < _EXACT_FLOAT:
         S = T - D * v * v
@@ -174,44 +182,18 @@ def _require_squarefree(ell: int) -> None:
         raise ValueError(f"modulus {ell} is not squarefree")
 
 
-class _BlockMemo:
-    """Prefix blocks of the residue table, least recently used out first.
-
-    Block (start, height) holds P[vbar, t] for start <= vbar < start + height;
-    it is keyed by the residues of (a, b, c) mod l, l, start and height, and
-    stored read-only.  The kept blocks hold at most _CACHE_CELLS cells in all;
-    a block larger than that is built and not kept.
-    """
-
-    def __init__(self):
-        self.blocks: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self.cells = 0
-
-    def __call__(self, a: int, b: int, c: int, ell: int, start: int,
-                 height: int) -> np.ndarray:
-        key = (a, b, c, ell, start, height)
-        P = self.blocks.get(key)
-        if P is not None:
-            self.blocks.move_to_end(key)
-            return P
-        r = np.arange(ell, dtype=np.int64)
-        w = r[start:start + height, None]
-        P = np.zeros((height, ell + 1), dtype=np.int32)   # entries <= l < 2^21
-        np.cumsum((a * r * r + b * w * r + c * w * w) % ell == 0, axis=1, out=P[:, 1:])
-        P.setflags(write=False)
-        if P.size <= _CACHE_CELLS:
-            self.blocks[key] = P
-            self.cells += P.size
-            while self.cells > _CACHE_CELLS:
-                self.cells -= self.blocks.popitem(last=False)[1].size
-        return P
-
-    def cache_clear(self) -> None:
-        self.blocks.clear()
-        self.cells = 0
+def _build_block(key) -> np.ndarray:
+    # P[vbar, t] for start <= vbar < start + height, read-only
+    a, b, c, ell, start, height = key
+    r = np.arange(ell, dtype=np.int64)
+    w = r[start:start + height, None]
+    P = np.zeros((height, ell + 1), dtype=np.int32)   # entries <= l < 2^21
+    np.cumsum((a * r * r + b * w * r + c * w * w) % ell == 0, axis=1, out=P[:, 1:])
+    P.setflags(write=False)
+    return P
 
 
-_prefix_block = _BlockMemo()
+_prefix_block = CellMemo(_build_block, np.size, _CACHE_CELLS)
 
 
 def _residue_rows(window: EllipseWindow, ell: int):
@@ -222,7 +204,9 @@ def _residue_rows(window: EllipseWindow, ell: int):
     integer n, and a row holds F(hi + 1) - F(lo) of them.  P comes from a scan
     of all l^2 residue pairs (products stay below l^3 < 2^63), a block of
     vbar at a time so that memory stays bounded for large l; the blocks are
-    memoised by `_prefix_block`.  The caller checks l (`_require_squarefree`).
+    memoised by `_prefix_block`, keyed by (a, b, c mod l, l, start, height).
+    The blocks a window needs may hold _RESIDUE_CELLS cells in all, checked
+    before any is built.  The caller checks l (`_require_squarefree`).
     """
     f = window.f
     a, b, c = f.a % ell, f.b % ell, f.c % ell
@@ -230,13 +214,18 @@ def _residue_rows(window: EllipseWindow, ell: int):
     vbar = v % ell
     step = max(1, _TABLE_CELLS // ell)
     if step >= ell:  # one block holds the whole table
-        return v, lo, hi, _block_counts(_prefix_block(a, b, c, ell, 0, ell), vbar, lo, hi)
-    counts = np.empty_like(v)
+        return v, lo, hi, _block_counts(_prefix_block((a, b, c, ell, 0, ell)), vbar, lo, hi)
     blocks = vbar // step
-    for blk in np.unique(blocks).tolist():  # the blocks that some row falls in
+    used = np.unique(blocks).tolist()  # the blocks that some row falls in
+    cells = sum(min(step, ell - blk * step) for blk in used) * (ell + 1)
+    if cells > _RESIDUE_CELLS:
+        raise ValueError(f"modulus {ell} too large for this window: its residue "
+                         f"blocks hold {cells} cells, more than {_RESIDUE_CELLS}")
+    counts = np.empty_like(v)
+    for blk in used:
         sel = np.flatnonzero(blocks == blk)
         start = blk * step
-        P = _prefix_block(a, b, c, ell, start, min(step, ell - start))
+        P = _prefix_block((a, b, c, ell, start, min(step, ell - start)))
         counts[sel] = _block_counts(P, vbar[sel] - start, lo[sel], hi[sel])
     return v, lo, hi, counts
 

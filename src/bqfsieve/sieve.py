@@ -39,8 +39,8 @@ from . import arith
 from .arith import big_omega_upto, mult_functions, prime_table, primes_upto
 from .characters import L_values, sum_local_densities
 from .forms import Form, delta_f, enumerate_class_set, is_primitive, is_reduced
-from .lattice import (EllipseWindow, _row_values, count_A_ell, local_density_g,
-                      value_bitmap)
+from .lattice import (EllipseWindow, _row_span, _row_values, count_A_ell,
+                      local_density_g, value_bitmap)
 
 __all__ = [
     "SieveParams",
@@ -298,6 +298,9 @@ def selberg_upper_bound(params: SieveParams, h: int | None = None) -> SieveRepor
         raise ValueError("need x >= D/a")
     if not math.sqrt(f.a * x) <= y <= x:
         raise ValueError("need (ax)^(1/2) <= y <= x")
+    # the window's row cap, then the mask cap (in pi_f_interval), before any array
+    _row_span(f, math.floor(x))
+    exact_primes = pi_f_interval(f, x, y)
     sys = selberg_system(f, params.z)
     main_density = 2 * math.pi * y / math.sqrt(f.D)
     J = float(sys.J)
@@ -316,7 +319,6 @@ def selberg_upper_bound(params: SieveParams, h: int | None = None) -> SieveRepor
         rem_signed += float(sys.cross_coeff[ell]) * r_ell
     if sifted is None:
         sifted = sifted_interval_count(f, x, y, params.z)
-    exact_primes = pi_f_interval(f, x, y)
     tb = theorem_rhs(f, x, y, params.phi_mode, params.epsilon, h)
     rhs = tb.rhs_interval if y < x else tb.rhs_full
     return SieveReport(params=params, J=J, main_term=main,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bqfsieve import arith
-from bqfsieve.arith import (Factorization, big_omega_upto, divisors, factorize,
+from bqfsieve.arith import (CellMemo, Factorization, big_omega_upto, divisors, factorize,
                             is_prime, kronecker, mult_functions, prime_table,
                             primes_upto, sieve_primes, spf_upto)
 
@@ -269,3 +269,28 @@ def test_presized_sweep_builds_once(fresh_tables):
     assert res.summary.passes > 0
     x_top = max(t.x for t in build_tasks(cfg) if t.pass_ != "na")
     assert x_top > 1 << 16 and fresh_tables == [math.floor(x_top)]
+
+
+def test_cell_memo_is_a_cell_bounded_lru():
+    built = []
+
+    def build(n):
+        built.append(n)
+        return np.zeros(n)
+
+    memo = CellMemo(build, np.size, 10)
+    assert memo(3) is memo(3) and built == [3]
+    memo(4)
+    memo(3)                     # 3 is now the most recently used
+    memo(5)                     # 12 cells: 4, the least recently used, goes
+    assert 3 in memo and 5 in memo and 4 not in memo
+    assert memo.cells == sum(np.size(v) for v in memo.kept.values()) == 8
+    assert list(memo.kept) == [3, 5]
+    big = memo(11)              # above the bound: built, not kept
+    assert big.size == 11 and 11 not in memo and memo.cells == 8
+    memo(11)
+    assert built == [3, 4, 5, 11, 11]
+    memo(10)                    # exactly the bound: kept, alone
+    assert list(memo.kept) == [10] and memo.cells == 10
+    memo.cache_clear()
+    assert not memo.kept and memo.cells == 0 and 10 not in memo

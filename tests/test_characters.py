@@ -26,6 +26,15 @@ def test_char_prefix_sums_examples():
     assert ps3.S[0] == 0
 
 
+def test_char_prefix_sums_against_kronecker():
+    # S is read off the profile's period, so T past D wraps around it
+    for D in (3, 4, 8, 12, 23, 40, 163, 300):
+        for T in (1, D - 1, D, D + 1, 2 * D + 3, 3 * D):
+            want = np.cumsum([0] + [kronecker(-D, n) for n in range(1, T + 1)])
+            S = char_prefix_sums(D, T).S
+            assert S.dtype == np.int64 and S.tolist() == want.tolist(), (D, T)
+
+
 def test_char_prefix_sums_rejects():
     with pytest.raises(ValueError):
         char_prefix_sums(5, 10)
@@ -116,11 +125,46 @@ def test_L_values_blocked_sum_matches_one_block(monkeypatch, periods):
     for D in (23, 300, 2003):
         whole = L_values(D)
         monkeypatch.setattr(characters, "_SUM_CELLS", periods * D)
-        monkeypatch.setattr(char_profile(D), "_lvals", None)
+        monkeypatch.delattr(char_profile(D), "lvals")
         blocked = L_values(D)
         assert (blocked.L1, blocked.error_bound) == (whole.L1, whole.error_bound), D
         assert abs(blocked.L1_prime - whole.L1_prime) <= 1e-13, D
         monkeypatch.undo()
+
+
+def test_L_values_computed_once_per_profile(monkeypatch):
+    characters._profile_cache.cache_clear()
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return digamma(x)
+
+    monkeypatch.setattr(characters, "digamma", counted)
+    D = 2003
+    lv = L_values(D)
+    assert len(calls) == 1          # L1 is the only digamma pass of lvals
+    assert L_values(D) is lv and char_profile(D).lvals is lv
+    sum_local_densities(Form(1, 1, 501), 10.0)
+    class_number_estimate(D)
+    assert len(calls) == 1
+
+
+def test_profile_memo_is_bounded_by_period_cells(monkeypatch):
+    memo = characters._profile_cache
+    monkeypatch.setattr(memo, "bound", 100)
+    memo.cache_clear()
+    profs = [char_profile(D) for D in (23, 40, 47)]   # 110 cells: 23 goes
+    assert 23 not in memo and 40 in memo and 47 in memo and memo.cells == 87
+    for arr in (profs[0].chi, profs[0].S_mod, profs[0].abs_S):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert char_profile(40) is profs[1]               # 47 is now the oldest
+    char_profile(23)
+    assert 47 not in memo and 40 in memo and memo.cells == 63
+    big = char_profile(103)                           # above the bound: not kept
+    assert 103 not in memo and big.D == 103 and memo.cells == 63
+    assert char_profile(103) is not big
 
 
 def _tail_two_psi(prof, vals, ys):

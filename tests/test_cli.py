@@ -72,6 +72,22 @@ def test_count_rejects_large_modulus_at_once():
     assert "too large" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_count_bounds_the_residue_work_of_a_large_modulus(capsys):
+    # l = 2097143 takes one 2^21-cell residue block per window row: 23 rows
+    # (4.8e7 cells) are counted, 2,309 rows (4.8e9 cells) are refused at once
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "1", "1", "1", "1e6", "--ell", "2097143")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "modulus 2097143 too large" in err
+    code, out, _ = run_cli(capsys, "count", "1", "1", "1", "100", "--ell", "2097143",
+                           "--format", "json")
+    assert code == 0 and out == (
+        '{"schema": "bqf-sieve/1", "form": [1, 1, 1], "x": 100.0, "ell": 2097143, '
+        '"counts": {"A_ell": 1, "B_ell": 0, "A_ell(1)": 0, "A_ell(2097143)": 1}, '
+        '"local_density": {"exact": 1, "main": 8.248275354613966e-11, '
+        '"residual": 0.9999999999175172, "envelope": 51175.624622434836}}\n')
+
+
 def test_count_non_primitive_fails_before_counting(capsys, monkeypatch):
     from bqfsieve import cli
 

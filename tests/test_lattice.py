@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bqfsieve import arith, lattice
+from bqfsieve import arith, characters, lattice
 from bqfsieve.arith import kronecker, mult_functions
 from bqfsieve.forms import (Form, enumerate_class_set, is_discriminant, is_reduced,
                             reduce_form, scale_form)
@@ -204,8 +204,8 @@ def test_count_congruence_in_residue_blocks(monkeypatch):
             count_congruence(w, ell)
     memo, read = lattice._prefix_block, []
 
-    def spy(*key):
-        P = memo(*key)
+    def spy(key):
+        P = memo(key)
         read.append((key[3], P.shape))
         return P
 
@@ -222,6 +222,20 @@ def test_count_congruence_in_residue_blocks(monkeypatch):
         assert {ell for ell, _ in read} == set(ells)
         for ell, (height, width) in read:
             assert width == ell + 1 and height * ell <= max(cells, ell), (ell, height)
+
+
+def test_residue_blocks_of_a_window_are_bounded(monkeypatch):
+    # one block per row at l = 30 with blocks of one row; a window with every
+    # v residue needs all 30 of them, 30 x 31 cells, counted before any is built
+    monkeypatch.setattr(lattice, "_TABLE_CELLS", 7)
+    f, x = Form(1, 0, 1), 400
+    monkeypatch.setattr(lattice, "_RESIDUE_CELLS", 30 * 31 - 1)
+    lattice._prefix_block.cache_clear()
+    with pytest.raises(ValueError, match="modulus 30 too large"):
+        count_A_ell(EllipseWindow.of(f, x), 30)
+    assert not lattice._prefix_block.kept
+    monkeypatch.setattr(lattice, "_RESIDUE_CELLS", 30 * 31)
+    assert count_A_ell(EllipseWindow.of(f, x), 30) == brute_congruence(f, x, 30)[0]
 
 
 @given(reduced_forms(),
@@ -242,8 +256,8 @@ def test_cached_rows_and_blocks_are_read_only():
         with pytest.raises(ValueError):
             r[0] = 0
     count_congruence(w, 30)
-    assert lattice._prefix_block.blocks
-    for P in lattice._prefix_block.blocks.values():
+    assert lattice._prefix_block.kept
+    for P in lattice._prefix_block.kept.values():
         with pytest.raises(ValueError):
             P[0, 0] = 1
 
@@ -257,8 +271,8 @@ def test_block_memo_stays_within_its_cell_bound():
         assert count_A_ell(w, ell) == 1  # 0 < f <= 10 < l: only the origin
         assert count_B_ell(w, ell) == 0  # and gcd(0, l) = l
         assert 0 < memo.cells <= lattice._CACHE_CELLS
-        assert memo.cells == sum(P.size for P in memo.blocks.values())
-        kept = {key[3] for key in memo.blocks}
+        assert memo.cells == sum(P.size for P in memo.kept.values())
+        kept = {key[3] for key in memo.kept}
         assert (ell in kept) == (ell + 1 <= lattice._CACHE_CELLS)
 
 
@@ -267,7 +281,7 @@ def test_cold_and_warm_caches_agree():
     cases = [(f, ell) for D in range(3, 61) if is_discriminant(D)
              for f in enumerate_class_set(D) for ell in ells]
     caches = (lattice._prefix_block, lattice._local_density_g, arith.factorize,
-              arith.mult_functions, lattice._prime_roots)
+              arith.mult_functions, lattice._prime_roots, characters._profile_cache)
 
     def run(cold):
         out = []
@@ -278,7 +292,8 @@ def test_cold_and_warm_caches_agree():
             w = EllipseWindow.of(f, 1000)
             cc = count_congruence(w, ell)
             rep = local_density_report(w, ell)
-            out.append((cc.counts, cc.roots.roots, rep, count_B_ell(w, ell)))
+            out.append((cc.counts, cc.roots.roots, rep, count_B_ell(w, ell),
+                        characters.L_values(f.D)))
         return out
 
     cold = run(cold=True)

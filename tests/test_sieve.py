@@ -352,6 +352,21 @@ def test_prime_count_upto():
     assert prime_count_upto(100) == 25
 
 
+def test_sieve_refuses_x_above_the_mask_cap_before_any_window():
+    # 2,309,401 window rows, under the row cap: the mask cap refuses first
+    import tracemalloc
+
+    params = SieveParams.of(Form(1, 1, 1), 1e12, 1e12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="prime mask limited to 2e8"):
+            selberg_upper_bound(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_step0_inequality_on_sweep_rows():
     # (w/delta_f)(pi_f(x) - pi_f(x-y)) <= sifted + (w/delta_f) pi(z) over
     # full-range sweep style runs
