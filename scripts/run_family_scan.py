@@ -29,7 +29,7 @@ def main():
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        for D in family(args.Q).members:
+        for D in family(args.Q):
             cs = enumerate_class_set(D)
             lv = L_values(D)
             h_formula, resid = class_number_estimate(D)
@@ -40,7 +40,7 @@ def main():
                         "%.10g" % (-lv.L1_prime / lv.L1),
                         "%.6g" % e_small.E0, "%.6g" % e_small.E1,
                         "%.6g" % e_big.E0, "%.6g" % e_big.E1])
-    n = len(family(args.Q).members)
+    n = len(family(args.Q))
     print(f"wrote {n} rows to {args.out}")
     return 0
 

@@ -2,8 +2,8 @@
 
 Provides the Kronecker symbol (m/n) with its standard extension to even and
 non-positive n, trial-division factorization, the small multiplicative
-functions (mu, phi, tau, tau_3, omega, Omega) that the congruence-sum and
-sieve machinery consume, and the package's one prime table: `sieve_primes`
+functions (mu, phi, tau, tau_3) that the congruence-sum and sieve
+machinery consume, and the package's one prime table: `sieve_primes`
 is its one Eratosthenes kernel, and the shared mask (`prime_table`, presized
 by a sweep), the spf table (int32, as far as asked) and the Omega table
 (filled in spf blocks) are read-only and grow to max(request, 2 x current),
@@ -242,20 +242,16 @@ class MultValues:
     phi: int
     tau: int
     tau3: int
-    omega: int
-    big_omega: int
     squarefree: bool
 
 
 @lru_cache(maxsize=1 << 12)
 def mult_functions(n: int) -> MultValues:
-    """mu, phi, tau, tau_3, omega, Omega and squarefreeness of n, exactly."""
+    """mu, phi, tau, tau_3 and squarefreeness of n, exactly."""
     fac = factorize(n)
-    mu, phi, tau, tau3, omega, big = 1, 1, 1, 1, 0, 0
+    mu, phi, tau, tau3 = 1, 1, 1, 1
     squarefree = True
     for p, e in fac.factors:
-        omega += 1
-        big += e
         phi *= p ** (e - 1) * (p - 1)
         tau *= e + 1
         tau3 *= (e + 1) * (e + 2) // 2
@@ -264,8 +260,7 @@ def mult_functions(n: int) -> MultValues:
             mu = 0
         elif mu != 0:
             mu = -mu
-    return MultValues(mu=mu, phi=phi, tau=tau, tau3=tau3, omega=omega,
-                      big_omega=big, squarefree=squarefree)
+    return MultValues(mu=mu, phi=phi, tau=tau, tau3=tau3, squarefree=squarefree)
 
 
 def divisors(n: int) -> list[int]:

@@ -40,7 +40,6 @@ __all__ = [
     "CharacterProfile",
     "LValues",
     "ErrorFunctionals",
-    "DiscriminantFamily",
     "WeightedSums",
     "LocalDensitySum",
     "ExceptionalReport",
@@ -215,24 +214,12 @@ def char_profile(D: int) -> CharacterProfile:
     return _profile_cache(D)
 
 
-@dataclass(frozen=True)
-class PrefixSums:
-    """S(t) for t <= T, materialized (plus the profile for t beyond T)."""
-
-    D: int
-    T: int
-    S: np.ndarray
-    profile: CharacterProfile
-
-
-def char_prefix_sums(D: int, T: int) -> PrefixSums:
-    """Exact integer prefix sums of chi_{-D}(n) for n <= T."""
+def char_prefix_sums(D: int, T: int) -> np.ndarray:
+    """Exact integer prefix sums S(t) = sum_{n<=t} chi_{-D}(n), t = 0..T, int64."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    prof = char_profile(D)
     # S has period D, as the period sum vanishes
-    S = prof.S_mod[np.arange(T + 1) % D].astype(np.int64)
-    return PrefixSums(D=D, T=T, S=S, profile=prof)
+    return char_profile(D).S_mod[np.arange(T + 1) % D].astype(np.int64)
 
 
 def L_values(D: int) -> LValues:
@@ -350,7 +337,6 @@ def error_functionals(D: int, x, ratio: float = 1.1) -> ErrorFunctionals:
 @dataclass(frozen=True)
 class LocalDensitySum:
     sum: float
-    main: float
     residual: float
 
 
@@ -373,21 +359,14 @@ def sum_local_densities(f: Form, z: float) -> LocalDensitySum:
         total = float(np.sum(g))
     lv = L_values(D)
     main = lv.L1 * math.log(z) + lv.L1_prime if z > 1 else lv.L1_prime
-    return LocalDensitySum(sum=total, main=main, residual=total - main)
+    return LocalDensitySum(sum=total, residual=total - main)
 
 
-@dataclass(frozen=True)
-class DiscriminantFamily:
-    Q: int
-    members: tuple[int, ...]
-
-
-def family(Q: int) -> DiscriminantFamily:
-    """All D with 3 <= D <= Q and -D = 0, 1 (mod 4), Q <= Q_MAX."""
+def family(Q: int) -> tuple[int, ...]:
+    """All D with 3 <= D <= Q and -D = 0, 1 (mod 4), Q <= Q_MAX, ascending."""
     if not 3 <= Q <= Q_MAX:
         raise ValueError(f"Q must lie in [3, {Q_MAX}], got {Q}")
-    members = tuple(D for D in range(3, Q + 1) if D % 4 in (0, 3))
-    return DiscriminantFamily(Q=Q, members=members)
+    return tuple(D for D in range(3, Q + 1) if D % 4 in (0, 3))
 
 
 @dataclass(frozen=True)
@@ -447,7 +426,7 @@ def average_exceptional_report(Q: int, epsilon: float, x_cap: float = 1e7,
         raise ValueError("epsilon must lie in (0, 1/8)")
     if not (math.isfinite(x_cap) and x_cap >= 1):
         raise ValueError(f"x_cap must be a finite number >= 1, got {x_cap}")
-    members = family(Q).members
+    members = family(Q)
     scan = partial(scan_discriminant, epsilon=epsilon, x_cap=x_cap)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -28,7 +28,7 @@ from .characters import average_exceptional_report
 from .forms import Form, delta_f, enumerate_class_set, is_primitive, reduce_form
 from .lattice import EllipseWindow, count_congruence, local_density_report
 from .sieve import SieveParams, pi_f, pi_f_interval, selberg_upper_bound
-from .sweeps import RuleError, SweepConfig, SweepRecord, run_sweep
+from .sweeps import SweepConfig, SweepRecord, run_sweep
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED = 0, 2, 3
 JOBS_MAX = 64  # a pool forks all of its workers on its first task, ~60 MiB each
@@ -82,7 +82,7 @@ def cmd_count(args) -> int:
     rep = local_density_report(window, args.ell, exact=cc.a_ell)
     counts = cc.counts
     lines = [f"{label} = {n}" for label, n in counts.items()]
-    lines += ["M(%d) = %d, roots = %s" % (args.ell, cc.roots.M, list(cc.roots.roots)),
+    lines += ["M(%d) = %d, roots = %s" % (args.ell, len(cc.roots), list(cc.roots)),
               "main = %s  residual = %s  envelope = %s  ratio = %s"
               % (_fmt(rep.main), _fmt(rep.residual), _fmt(rep.envelope),
                  _fmt(rep.ratio))]
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
         if "jobs" in args:
             _set_jobs(args)
         return args.func(args)
-    except (ValueError, RuleError) as exc:
+    except ValueError as exc:  # a RuleError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenExecutor as exc:  # a pool worker died: BrokenProcessPool

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import mult_functions
+
 __all__ = [
     "Form",
     "FormClassSet",
@@ -255,8 +257,6 @@ def fundamental_part(D: int) -> tuple[int, int]:
 def _is_fundamental(m: int) -> bool:
     # -m fundamental: m = 3 mod 4 squarefree, or m = 4m' with m' = 1, 2 mod 4
     # squarefree
-    from .arith import mult_functions
-
     if m % 4 == 3:
         return mult_functions(m).squarefree
     if m % 4 == 0:

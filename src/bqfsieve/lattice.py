@@ -47,7 +47,6 @@ from .forms import Form, is_primitive, reduce_form
 __all__ = [
     "EllipseWindow",
     "CongruenceCount",
-    "RootSet",
     "SqrtAverage",
     "LocalDensityReport",
     "r_f",
@@ -255,31 +254,19 @@ def count_B_ell(window: EllipseWindow, ell: int) -> int:
     return int(counts[np.gcd(v, ell) == 1].sum())
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Solutions of a m^2 + b m + c = 0 mod l, glued over prime factors by CRT."""
-
-    f: Form
-    ell: int
-    roots: tuple[int, ...]
-
-    @property
-    def M(self) -> int:
-        return len(self.roots)
-
-
 @lru_cache(maxsize=1 << 12)
 def _prime_roots(a: int, b: int, c: int, p: int) -> tuple[int, ...]:
     m = np.arange(p, dtype=np.int64)
     return tuple(np.flatnonzero(((a * m + b) * m + c) % p == 0).tolist())
 
 
-def root_set(f: Form, ell: int) -> RootSet:
-    """Roots found per prime factor p by one int64 scan of m < p (memoised by
+def root_set(f: Form, ell: int) -> tuple[int, ...]:
+    """The ascending roots of a m^2 + b m + c = 0 mod l, so M(l) is their
+    number.  Found per prime factor p by one int64 scan of m < p (memoised by
     f mod p; (a m + b) m + c < p^3 < 2^63 as p < 2^21), combined by CRT."""
     _require_squarefree(ell)
     if ell == 1:
-        return RootSet(f=f, ell=1, roots=(0,))
+        return (0,)
     factors = [p for p, _ in factorize(ell).factors]
     roots = [0]
     mod = 1
@@ -289,20 +276,18 @@ def root_set(f: Form, ell: int) -> RootSet:
         inv = pow(mod, -1, p)
         roots = [r + mod * ((rp - r) * inv % p) for r in roots for rp in p_roots]
         mod *= p
-    return RootSet(f=f, ell=ell, roots=tuple(sorted(roots)))
+    return tuple(sorted(roots))
 
 
 @dataclass(frozen=True)
 class CongruenceCount:
-    """Exact cardinalities of A_l, every A_l(d), B_l and every B_l(m)."""
+    """Exact cardinalities of A_l, every A_l(d), B_l and every B_l(m), m in roots."""
 
-    window: EllipseWindow
-    ell: int
     a_ell: int
     a_ell_by_d: dict[int, int]
     b_ell: int
     b_ell_by_m: dict[int, int]
-    roots: RootSet
+    roots: tuple[int, ...]
 
     @property
     def counts(self) -> dict[str, int]:
@@ -320,10 +305,12 @@ def count_congruence(window: EllipseWindow, ell: int) -> CongruenceCount:
     A_l and B_l go through the residue root table; each B_l(m) is counted
     directly from the linear congruence u = mv, so the disjoint-union
     identities relating them are genuine cross-checks, not tautologies.
+    A window over the residue-cell bound is refused before the roots are
+    scanned.
     """
     _require_squarefree(ell)
-    rset = root_set(window.f, ell)
     v, lo, hi, counts = _residue_rows(window, ell)
+    roots = root_set(window.f, ell)
     g = np.gcd(v, ell)
     divs = divisors(ell)
     by_d = np.zeros(len(divs), dtype=np.int64)
@@ -331,15 +318,13 @@ def count_congruence(window: EllipseWindow, ell: int) -> CongruenceCount:
     a_by_d = dict(zip(divs, by_d.tolist()))
     coprime = g == 1
     v, lo, hi = v[coprime], lo[coprime], hi[coprime]
-    b_by_m = {m: int(_count_in(lo, hi, m * v % ell, ell).sum()) for m in rset.roots}
-    return CongruenceCount(window=window, ell=ell, a_ell=int(counts.sum()),
-                           a_ell_by_d=a_by_d, b_ell=a_by_d[1], b_ell_by_m=b_by_m,
-                           roots=rset)
+    b_by_m = {m: int(_count_in(lo, hi, m * v % ell, ell).sum()) for m in roots}
+    return CongruenceCount(a_ell=int(counts.sum()), a_ell_by_d=a_by_d,
+                           b_ell=a_by_d[1], b_ell_by_m=b_by_m, roots=roots)
 
 
 @dataclass(frozen=True)
 class SqrtAverage:
-    W: float
     sum: float
     main_term: float
     error: float
@@ -352,7 +337,7 @@ def sqrt_average(W) -> SqrtAverage:
     w = np.arange(1, math.floor(W) + 1, dtype=np.float64)
     total = float(np.sum(np.sqrt(W * W - w * w)))
     main = math.pi * W * W / 4 - W / 2
-    return SqrtAverage(W=float(W), sum=total, main_term=main, error=total - main)
+    return SqrtAverage(sum=total, main_term=main, error=total - main)
 
 
 def local_density_g(f: Form, ell: int) -> Fraction:

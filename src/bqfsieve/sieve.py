@@ -114,10 +114,8 @@ def sifted_interval_count(f: Form, x, y, z) -> int:
 class SelbergSystem:
     """Exact-rational Selberg weight system at sifting parameter z."""
 
-    z: float
     primes: tuple[int, ...]
     support: tuple[int, ...]            # squarefree d | P(z), d < z
-    h: dict[int, Fraction]
     J: Fraction
     lambdas: dict[int, Fraction]
     remainder_moduli: tuple[int, ...]   # squarefree l | P(z), l < z^2
@@ -129,15 +127,6 @@ def _squarefree_products(primes: list[int], limit: float) -> list[int]:
     for p in primes:
         out.extend(v * p for v in list(out) if v * p < limit)
     return sorted(v for v in out if v < limit)
-
-
-@lru_cache(maxsize=128)
-def _system_cached(a: int, b: int, c: int, z: float) -> SelbergSystem:
-    return _build_system(Form(a, b, c), z)
-
-
-def selberg_system(f: Form, z: float) -> SelbergSystem:
-    return _system_cached(f.a, f.b, f.c, float(z))
 
 
 def _build_system(f: Form, z: float) -> SelbergSystem:
@@ -161,9 +150,16 @@ def _build_system(f: Form, z: float) -> SelbergSystem:
         for d2 in support:
             l = d1 * d2 // math.gcd(d1, d2)
             cross[l] += l1 * lambdas[d2]
-    return SelbergSystem(z=z, primes=tuple(primes), support=tuple(support), h=h,
-                         J=J, lambdas=lambdas, remainder_moduli=tuple(moduli),
+    return SelbergSystem(primes=tuple(primes), support=tuple(support), J=J,
+                         lambdas=lambdas, remainder_moduli=tuple(moduli),
                          cross_coeff=cross)
+
+
+_system_cached = lru_cache(maxsize=128)(_build_system)  # bench/tracer.py reads cache_info()
+
+
+def selberg_system(f: Form, z: float) -> SelbergSystem:
+    return _system_cached(f, float(z))
 
 
 @dataclass(frozen=True)
@@ -197,7 +193,6 @@ class TheoremBounds:
     theta_prime: float
     rhs_full: float
     rhs_interval: float
-    conditional: bool   # phi = 0 rows assume GRH for chi_{-D}
 
 
 def _pow(base: float, exp: float) -> float:
@@ -254,7 +249,7 @@ def theorem_rhs(f: Form, x, y, phi_mode: float, epsilon: float,
     rhs_f = 4 / (1 - theta) * delta * x / (h * lx) if theta < 1 else math.nan
     rhs_i = 2 / (1 - theta_p) * delta * y / (h * ly) if theta_p < 1 else math.nan
     return TheoremBounds(theta=theta, theta_prime=theta_p, rhs_full=rhs_f,
-                         rhs_interval=rhs_i, conditional=(phi == 0))
+                         rhs_interval=rhs_i)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ list itself would pick, and only they are built.  Each row is one
 it runs, and running it fills in its counts.
 
 Rows run in key order, serially or on a process pool, so records do not
-depend on `jobs` (runtime_ms is the one measured column).  The time budget is
-checked before each row is taken; once it has run out, the remaining rows are
-skipped and pending pool work is cancelled.  A dead worker raises
-BrokenProcessPool (the CLI exits 3).
+depend on `jobs` (runtime_ms is the one measured column).  A pool takes the
+rows in chunks of 16, one round trip each.  The time budget is checked before
+each row is taken; once it has run out, the remaining rows are skipped and
+queued chunks are cancelled, while a chunk that has started runs to its end.
+A dead worker raises BrokenProcessPool (the CLI exits 3).
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
         pool = ProcessPoolExecutor(cfg.jobs, initializer=prime_table if mask_x else None,
                                    initargs=(mask_x,))
-        results = pool.map(run, live)
+        results = pool.map(run, live, chunksize=16)
     elif mask_x:
         prime_table(mask_x)
     records, expired = [], False

@@ -6,15 +6,19 @@ theorem sweep) are module-scoped fixtures shared by the criteria that read
 them.
 """
 
+import csv
+import gzip
 import math
 import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bqfsieve import cli
 from bqfsieve.arith import kronecker, mult_functions, primes_upto
 from bqfsieve.characters import (L_values, average_exceptional_report,
                                  class_number_estimate, family)
@@ -144,7 +148,7 @@ def _class_number_worker(ds):
 
 def test_criterion_03_class_number_formula():
     started = time.time()
-    ds = family(10**4).members
+    ds = family(10**4)
     chunks = [ds[i::JOBS] for i in range(JOBS)]
     with ProcessPoolExecutor(max_workers=JOBS) as pool:
         results = list(pool.map(_class_number_worker, chunks))
@@ -237,6 +241,20 @@ def test_criterion_08_full_range_sweep(theorem_sweep):
     report(8, ok, "full-range sweep: %d rows, max pi_f/rhs = %.3f (<1.5), "
            "lower sanity %.1f%% (>=95%%), %.0fs"
            % (len(rows), worst_upper, 100 * lower_frac, elapsed), started)
+
+
+def test_theorem_sweep_matches_reference_rows(theorem_sweep):
+    # the stored Q=2000 `bqf verify` CSV without runtime_ms, read and never
+    # written here: every row, in order, as the CLI formats it
+    ref = Path(__file__).resolve().parent.parent / "bench" / "refs" / "verify_q2000.csv.gz"
+    with gzip.open(ref, "rt", newline="") as fh:
+        want = list(csv.reader(fh))
+    got = [cli.CSV_COLUMNS[:-1]]
+    got += [cli._record_row(r)[:-1] for r in theorem_sweep["result"].records]
+    assert cli.CSV_COLUMNS[-1] == "runtime_ms" and len(want) == 12_700
+    assert len(got) == len(want)
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, f"{len(bad)} rows differ; first: {got[bad[0]]} != {want[bad[0]]}"
 
 
 def test_criterion_09_known_values():

@@ -1,10 +1,12 @@
 """The benchmark harness reads library internals by name (`sieve._prime_mask`,
 `sieve._system_cached`, `characters._profile_cache`, `arith.sieve_primes`,
 ...).  A fast check imports the tracer and the runner and resolves every name
-they read; the slow self-test runs every workload at a tiny size, traced and
-untraced.  So a rename of such a name fails here and not only in the
-benchmark."""
+they read, every `__all__` entry of the layers the tracer wraps and every name
+the package re-exports; the slow self-test runs every workload at a tiny size,
+traced and untraced.  So a rename of such a name fails here and not only in
+the benchmark."""
 
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import bqfsieve
 from bqfsieve import arith, characters, sieve
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -28,6 +31,15 @@ def _load(name):
 def test_bench_reads_names_that_exist():
     tracer, run = _load("tracer"), _load("run")
     layers = {layer: importlib.import_module(f"bqfsieve.{layer}") for layer in tracer.LAYERS}
+    for layer, module in layers.items():   # the tracer wraps every __all__ name
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{layer}.__all__: {name}"
+    package = ast.parse(Path(bqfsieve.__file__).read_text())
+    for node in package.body:   # each name the package re-exports, from its layer
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                assert alias.name in layers[node.module].__all__, f"{node.module}.{alias.name}"
+                assert getattr(bqfsieve, alias.name) is getattr(layers[node.module], alias.name)
     for layer, names in tracer.SPANNED.items():
         for name in names:
             assert callable(getattr(layers[layer], name)), f"{layer}.{name}"

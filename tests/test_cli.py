@@ -680,7 +680,7 @@ def _build_all_sorted(cfg):
         return (D ** (1 + 4 * phi) / a) ** (0.5 + eps) * x ** (0.5 + eps)
 
     tasks = []
-    for D in family(cfg.Q).members:
+    for D in family(cfg.Q):
         cs = enumerate_class_set(D)
         for f in cs.reduced_forms:
             raw_x = (eval_rule(cfg.x_rule, D, f.a, phi, eps) if cfg.x_rule

@@ -153,7 +153,7 @@ def test_count_congruence_examples():
     assert cc5.a_ell == 37
 
     cc3 = count_congruence(EllipseWindow.of(Form(1, 1, 1), 21), 3)
-    assert cc3.roots.roots == (1,)
+    assert cc3.roots == (1,)
     assert cc3.b_ell == sum(cc3.b_ell_by_m.values())
     # brute-force double check of the disjoint decomposition
     pts = brute_points(Form(1, 1, 1), 21)
@@ -238,6 +238,23 @@ def test_residue_blocks_of_a_window_are_bounded(monkeypatch):
     assert count_A_ell(EllipseWindow.of(f, x), 30) == brute_congruence(f, x, 30)[0]
 
 
+def test_count_congruence_refuses_before_scanning_roots():
+    # 2,309 rows at l = 2097143 need blocks of 2^21 cells each, over the
+    # bound: the window is refused before the roots mod l (an l-cell scan)
+    import tracemalloc
+
+    lattice._prime_roots.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="modulus 2097143 too large for this window"):
+            count_congruence(EllipseWindow.of(Form(1, 1, 1), 10**6), 2097143)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert lattice._prime_roots.cache_info().currsize == 0
+
+
 @given(reduced_forms(),
        st.one_of(st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(10**15)),
                  st.floats(min_value=0, max_value=1e300, exclude_min=True)))
@@ -292,7 +309,7 @@ def test_cold_and_warm_caches_agree():
             w = EllipseWindow.of(f, 1000)
             cc = count_congruence(w, ell)
             rep = local_density_report(w, ell)
-            out.append((cc.counts, cc.roots.roots, rep, count_B_ell(w, ell),
+            out.append((cc.counts, cc.roots, rep, count_B_ell(w, ell),
                         characters.L_values(f.D)))
         return out
 
@@ -316,12 +333,12 @@ def test_change_of_variables_identity():
 
 def test_root_set_examples():
     f = Form(1, 1, 1)
-    assert root_set(f, 3).roots == (1,)
-    assert root_set(f, 7).roots == (2, 4)
-    assert root_set(f, 7).M == 1 + kronecker(-3, 7)
-    assert root_set(f, 5).roots == ()
-    assert root_set(f, 5).M == 1 + kronecker(-3, 5)
-    assert root_set(f, 1).roots == (0,)
+    assert root_set(f, 3) == (1,)
+    assert root_set(f, 7) == (2, 4)
+    assert len(root_set(f, 7)) == 1 + kronecker(-3, 7)
+    assert root_set(f, 5) == ()
+    assert len(root_set(f, 5)) == 1 + kronecker(-3, 5)
+    assert root_set(f, 1) == (0,)
 
 
 def test_root_set_brute_and_formula():
@@ -335,15 +352,15 @@ def test_root_set_brute_and_formula():
         for p in primes:
             rs = root_set(f, p)
             brute = [m for m in range(p) if (a * m * m + b * m + c) % p == 0]
-            assert list(rs.roots) == brute
+            assert list(rs) == brute
             chi = kronecker(-f.D, p)
             g = math.gcd(math.gcd(a, b), c)
             if a % p != 0:
-                assert rs.M == 1 + chi, (f, p)
+                assert len(rs) == 1 + chi, (f, p)
             elif g % p != 0:
-                assert rs.M == chi, (f, p)
+                assert len(rs) == chi, (f, p)
             else:
-                assert rs.M == p, (f, p)
+                assert len(rs) == p, (f, p)
 
 
 def test_root_set_prime_near_2_21():
@@ -355,10 +372,10 @@ def test_root_set_prime_near_2_21():
     for f in (Form(1, 1, 1), Form(1, 1, 6), Form(2, 1, 3), Form(1, 0, 5),
               Form(3, 2, 5), Form(1, 1, 1000003)):
         rs = root_set(f, p)
-        assert all(type(m) is int and 0 <= m < p for m in rs.roots)
-        assert all((f.a * m * m + f.b * m + f.c) % p == 0 for m in rs.roots)
-        assert rs.M == 1 + kronecker(-f.D, p), f
-        split += rs.M == 2
+        assert all(type(m) is int and 0 <= m < p for m in rs)
+        assert all((f.a * m * m + f.b * m + f.c) % p == 0 for m in rs)
+        assert len(rs) == 1 + kronecker(-f.D, p), f
+        split += len(rs) == 2
     assert split >= 2
 
 
@@ -373,7 +390,7 @@ def test_root_set_multiplicative():
         f = Form(a, b, c)
         for l1, l2 in pairs:
             assert math.gcd(l1, l2) == 1
-            assert root_set(f, l1 * l2).M == root_set(f, l1).M * root_set(f, l2).M
+            assert len(root_set(f, l1 * l2)) == len(root_set(f, l1)) * len(root_set(f, l2))
 
 
 def test_sqrt_average_examples():

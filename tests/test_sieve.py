@@ -279,7 +279,7 @@ def test_theorem_rhs_examples():
     # phi = 0 at the exact range boundary
     x0 = (D / f.a) ** 1.2
     tb0 = theorem_rhs(f, x0, x0, 0, 0.2)
-    assert x0 >= full_range_x(f.D, f.a, 0, 0.2) and tb0.conditional
+    assert x0 >= full_range_x(f.D, f.a, 0, 0.2)
     assert tb0.theta < 1
 
 
