@@ -14,7 +14,7 @@ import sys
 
 from bqfsieve.characters import (L_values, class_number_estimate,
                                  error_functionals, family)
-from bqfsieve.forms import enumerate_class_set
+from bqfsieve.forms import enumerate_class_set, unit_count
 
 
 def main():
@@ -30,12 +30,12 @@ def main():
         w = csv.writer(fh)
         w.writerow(cols)
         for D in family(args.Q):
-            cs = enumerate_class_set(D)
             lv = L_values(D)
             h_formula, resid = class_number_estimate(D)
             e_small = error_functionals(D, D)
             e_big = error_functionals(D, min(D * D, args.xmax))
-            w.writerow([D, cs.h, cs.w, "%.10g" % lv.L1, "%.10g" % lv.L1_prime,
+            w.writerow([D, enumerate_class_set(D).h, unit_count(D),
+                        "%.10g" % lv.L1, "%.10g" % lv.L1_prime,
                         h_formula, "%.3g" % resid,
                         "%.10g" % (-lv.L1_prime / lv.L1),
                         "%.6g" % e_small.E0, "%.6g" % e_small.E1,

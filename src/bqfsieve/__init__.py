@@ -5,8 +5,8 @@ Selberg-sieve upper bound, with desk-scale verification sweeps."""
 __version__ = "0.1.0"
 
 from .arith import Factorization, factorize, kronecker, mult_functions, sieve_primes
-from .forms import (Form, FormClassSet, ScaledForm, delta_f, discriminant,
-                    enumerate_class_set, is_primitive, reduce_form, scale_form)
+from .forms import (Form, FormClassSet, ScaledForm, delta_f, enumerate_class_set,
+                    is_primitive, reduce_form, scale_form)
 from .lattice import (CongruenceCount, EllipseWindow, count_A, count_congruence,
                       local_density_g, local_density_report, r_f, root_set,
                       sqrt_average)

@@ -41,6 +41,7 @@ __all__ = [
 
 
 MASK_CAP = 2 * 10**8   # cells of each shared table
+JOBS_MAX = 64  # a pool forks all of its workers on its first task, ~60 MiB each
 
 
 def sieve_primes(limit: int) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import bernoulli, digamma
 
-from .arith import CellMemo, primes_upto, spf_upto
+from .arith import JOBS_MAX, CellMemo, primes_upto, spf_upto
 from .forms import D_MAX, Q_MAX, Form, is_discriminant, unit_count
 from .lattice import local_density_g
 
@@ -176,15 +176,6 @@ class CharacterProfile:
         dev = np.concatenate([[0.0], np.cumsum(np.concatenate([vals, vals]) - mu)])
         return float(np.max(dev) - np.min(dev))
 
-    def S(self, t: int) -> int:
-        """Prefix sum S(t) for any t >= 0, via periodicity."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        return int(self.S_mod[t % self.D])
-
-    def chi_at(self, n: int) -> int:
-        return int(self.chi[n % self.D])
-
     def tail_quadratic(self, y) -> "np.ndarray | float":
         """int_y^inf S(t)/t^2 dt = sum_{n>=y} S(n)/(n(n+1)), exactly."""
         return self._tail(self.S_mod, y)
@@ -289,7 +280,6 @@ def weighted_dirichlet_sums(D: int, x) -> WeightedSums:
 
 @dataclass(frozen=True)
 class ErrorFunctionals:
-    x: float
     E0: float
     E1: float
     argmin_y0: float
@@ -315,7 +305,7 @@ def _functional_minima(prof: CharacterProfile, x: float, ys: np.ndarray,
                     + prof._r_dev_absS / ys.astype(np.float64) ** 2))
     i0 = int(np.argmin(e0))
     i1 = int(np.argmin(e1))
-    return ErrorFunctionals(x=float(x), E0=float(e0[i0]), E1=float(e1[i1]),
+    return ErrorFunctionals(E0=float(e0[i0]), E1=float(e1[i1]),
                             argmin_y0=float(ys[i0]), argmin_y1=float(ys[i1]))
 
 
@@ -366,7 +356,7 @@ def family(Q: int) -> tuple[int, ...]:
     """All D with 3 <= D <= Q and -D = 0, 1 (mod 4), Q <= Q_MAX, ascending."""
     if not 3 <= Q <= Q_MAX:
         raise ValueError(f"Q must lie in [3, {Q_MAX}], got {Q}")
-    return tuple(D for D in range(3, Q + 1) if D % 4 in (0, 3))
+    return tuple(D for D in range(3, Q + 1) if is_discriminant(D))
 
 
 @dataclass(frozen=True)
@@ -426,6 +416,8 @@ def average_exceptional_report(Q: int, epsilon: float, x_cap: float = 1e7,
         raise ValueError("epsilon must lie in (0, 1/8)")
     if not (math.isfinite(x_cap) and x_cap >= 1):
         raise ValueError(f"x_cap must be a finite number >= 1, got {x_cap}")
+    if not 1 <= jobs <= JOBS_MAX:
+        raise ValueError(f"jobs must lie in [1, {JOBS_MAX}], got {jobs}")
     members = family(Q)
     scan = partial(scan_discriminant, epsilon=epsilon, x_cap=x_cap)
     if jobs > 1:

@@ -24,14 +24,15 @@ from dataclasses import asdict
 from functools import partial
 
 from . import __version__
+from .arith import JOBS_MAX
 from .characters import average_exceptional_report
-from .forms import Form, delta_f, enumerate_class_set, is_primitive, reduce_form
+from .forms import (Form, delta_f, enumerate_class_set, is_primitive, reduce_form,
+                    unit_count)
 from .lattice import EllipseWindow, count_congruence, local_density_report
 from .sieve import SieveParams, pi_f, pi_f_interval, selberg_upper_bound
 from .sweeps import SweepConfig, SweepRecord, run_sweep
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED = 0, 2, 3
-JOBS_MAX = 64  # a pool forks all of its workers on its first task, ~60 MiB each
 SCHEMA = "bqf-sieve/1"
 CSV_COLUMNS = ["D", "a", "b", "c", "h", "delta_f", "x", "y", "z",
                "exact_count", "upper_bound", "rhs_theorem",
@@ -67,8 +68,9 @@ def cmd_classgroup(args) -> int:
     cs = enumerate_class_set(args.D)
     lines = ["(%d,%d,%d) delta=%s" % (f.a, f.b, f.c, _fmt(delta_f(f)))
              for f in cs.reduced_forms]
-    lines.append("h(-%d) = %d, w = %d" % (cs.D, cs.h, cs.w))
-    return _emit(args, {"D": cs.D, "h": cs.h, "w": cs.w,
+    w = unit_count(cs.D)
+    lines.append("h(-%d) = %d, w = %d" % (cs.D, cs.h, w))
+    return _emit(args, {"D": cs.D, "h": cs.h, "w": w,
                         "forms": [f.triple() for f in cs.reduced_forms]},
                  "\n".join(lines))
 
@@ -164,9 +166,8 @@ def write_verify_csv(fh, records) -> None:
 def cmd_verify(args) -> int:
     cfg = SweepConfig(Q=args.Q, mode=args.mode, phi_mode=args.phi,
                       epsilon=args.epsilon, x_rule=args.x_rule, y_rule=args.y_rule,
-                      x_max=args.xmax, k=args.k, slack=args.slack,
-                      seed=args.seed, sample=args.sample, jobs=args.jobs,
-                      time_budget=args.time_budget)
+                      x_max=args.xmax, k=args.k, seed=args.seed, sample=args.sample,
+                      jobs=args.jobs, time_budget=args.time_budget)
     result = run_sweep(cfg)
     s = result.summary
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
@@ -175,7 +176,7 @@ def cmd_verify(args) -> int:
                    "config": {"Q": cfg.Q, "mode": cfg.mode, "phi": cfg.phi_mode,
                               "epsilon": cfg.epsilon, "x_rule": cfg.x_rule,
                               "y_rule": cfg.y_rule, "x_max": cfg.x_max, "k": cfg.k,
-                              "slack": cfg.slack, "seed": cfg.seed},
+                              "seed": cfg.seed},
                    "columns": CSV_COLUMNS,
                    "rows": [_record_row(r) for r in result.records],
                    "summary": asdict(s)}
@@ -263,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-rule", default=None, dest="y_rule")
     p.add_argument("--xmax", type=float, default=1e7)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--slack", type=float, default=1.0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=int, default=None)

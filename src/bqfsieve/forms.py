@@ -27,7 +27,6 @@ __all__ = [
     "Form",
     "FormClassSet",
     "ScaledForm",
-    "discriminant",
     "reduce_form",
     "is_reduced",
     "is_primitive",
@@ -71,11 +70,6 @@ class Form:
 
     def content(self) -> int:
         return math.gcd(math.gcd(self.a, self.b), self.c)
-
-
-def discriminant(f: Form) -> int:
-    """b^2 - 4ac (negative)."""
-    return f.b * f.b - 4 * f.a * f.c
 
 
 def is_primitive(f: Form) -> bool:
@@ -134,10 +128,6 @@ class FormClassSet:
     D: int
     reduced_forms: tuple[Form, ...]
     h: int
-    w: int
-
-    def __iter__(self):
-        return iter(self.reduced_forms)
 
 
 # The key list of a sweep grows as Q^1.5: reduced_forms_upto(10^5) lists 4.58M
@@ -177,7 +167,7 @@ def enumerate_class_set(D: int) -> FormClassSet:
                 continue
             forms.append(Form(a, b, c))
     forms.sort()
-    return FormClassSet(D=D, reduced_forms=tuple(forms), h=len(forms), w=unit_count(D))
+    return FormClassSet(D=D, reduced_forms=tuple(forms), h=len(forms))
 
 
 def reduced_forms_upto(Q: int) -> tuple[np.ndarray, ...]:
@@ -226,15 +216,13 @@ def delta_f(f: Form) -> float:
 class ScaledForm:
     """f_r(u,w) = f(u, rw) = a u^2 + br uw + cr^2 w^2, discriminant -r^2 D."""
 
-    base: Form
-    r: int
     form: Form
 
 
 def scale_form(f: Form, r: int) -> ScaledForm:
     if r < 1:
         raise ValueError("scale factor r must be >= 1")
-    return ScaledForm(base=f, r=r, form=Form(f.a, f.b * r, f.c * r * r))
+    return ScaledForm(form=Form(f.a, f.b * r, f.c * r * r))
 
 
 def fundamental_part(D: int) -> tuple[int, int]:

@@ -102,7 +102,7 @@ def _row_span(f: Form, X: int) -> int:
     if T >= _INT64_ROWS:
         raise ValueError("window too large: 4ax must stay below 2^62")
     vmax = math.isqrt(T // f.D) if T >= 0 else -1
-    if 2 * vmax + 1 > _MAX_ROWS:  # before the isqrt loop of `_rows`
+    if 2 * vmax + 1 > _MAX_ROWS:  # before any array of `_rows`
         raise ValueError(f"window too large: f <= {X} spans {2 * vmax + 1} rows, "
                          f"more than {_MAX_ROWS}")
     return vmax
@@ -116,20 +116,25 @@ def _rows(f: Form, X: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exact float and the floor of its correctly rounded root is isqrt(S): with
     k = isqrt(S) < 2^26, sqrt(S) >= k rounds to at least k, and sqrt(S) lies
     more than 1/(2k + 2) >= 2^-27 below k + 1, more than one ulp of a float
-    below 2^26, so it rounds to less than k + 1.  Above 2^52, or with the one
-    row v = 0 when D > T, s comes from math.isqrt per row.  Empty rows are
-    dropped.
+    below 2^26, so it rounds to less than k + 1.  From 2^52 to 2^62 that
+    floor is k or k + 1: rounding S and taking the root are monotone, and the
+    float root of k^2 (or of (k + 1)^2) lies less than k 2^-54, under half an
+    ulp, from k (or k + 1), so it rounds to it.  One integer step down where
+    s^2 > S gives k, and s^2 <= (k + 1)^2 <= 2^62.  The one row v = 0 when
+    D > T takes math.isqrt, as D may exceed int64.  Empty rows are dropped.
     """
     a, b, D = f.a, f.b, f.D
     T = 4 * a * X
     vmax = _row_span(f, X)
     v = np.arange(-vmax, vmax + 1, dtype=np.int64)
-    if D <= T < _EXACT_FLOAT:
-        S = T - D * v * v
-        s = np.sqrt(S.astype(np.float64)).astype(np.int64)
-    else:
+    if D > T:
         s = np.array([math.isqrt(T - D * w * w) for w in range(-vmax, vmax + 1)],
                      dtype=np.int64)
+    else:
+        S = T - D * v * v
+        s = np.sqrt(S.astype(np.float64)).astype(np.int64)
+        if T >= _EXACT_FLOAT:
+            s -= s * s > S
     bv = b * v
     lo = -((s + bv) // (2 * a))
     hi = (s - bv) // (2 * a)

@@ -54,21 +54,15 @@ __all__ = [
     "theorem_rhs",
     "full_range_x", "interval_min_y", "almost_range_x", "almost_rhs",
     "count_almost_primes",
-    "prime_count_upto",
 ]
 
 
 def __getattr__(name: str):
     # `_prime_mask` aliases the shared mask for bench/tracer.py's rebuild
-    # count, until ROADMAP item 4 moves tracing into the library
+    # count, until ROADMAP item 6 moves tracing into the library
     if name == "_prime_mask":
         return arith._mask
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def prime_count_upto(z: float) -> int:
-    """pi(z), exact."""
-    return len(primes_upto(math.floor(z)))
 
 
 def pi_f(f: Form, x) -> int:

@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
-from .arith import MASK_CAP, prime_table
+from .arith import JOBS_MAX, MASK_CAP, prime_table
 from .forms import Q_MAX, Form, delta_f, reduced_forms_upto
 from .sieve import (SieveParams, almost_range_x, almost_rhs, count_almost_primes,
                     full_range_x, interval_min_y, selberg_upper_bound)
@@ -110,7 +110,6 @@ class SweepConfig:
     y_rule: str | None = None
     x_max: float = 1e7
     k: int = 10                      # almost-prime factor bound (mode almost)
-    slack: float = 1.0               # rhs multiplier used in the pass check
     seed: int = 0
     sample: int | None = None        # deterministic row subsample
     jobs: int = 1
@@ -129,8 +128,8 @@ class SweepConfig:
             raise ValueError(f"x_max must be a finite number >= 2, got {self.x_max}")
         if self.mode == "almost" and self.k < 10:
             raise ValueError(f"almost mode needs k >= 10, got {self.k}")
-        if not (math.isfinite(self.slack) and self.slack > 0):
-            raise ValueError(f"slack must be a finite number > 0, got {self.slack}")
+        if not 1 <= self.jobs <= JOBS_MAX:
+            raise ValueError(f"jobs must lie in [1, {JOBS_MAX}], got {self.jobs}")
         if self.sample is not None and self.sample < 0:
             raise ValueError(f"sample must be >= 0, got {self.sample}")
         if self.time_budget is not None and not self.time_budget >= 0:
@@ -214,13 +213,13 @@ def _run_row(cfg: SweepConfig, row: SweepRecord) -> SweepRecord:
     if cfg.mode == "almost":
         exact = count_almost_primes(f, row.x, cfg.k)
         rhs = almost_rhs(row.D, row.x)
-        counts = dict(pass_="1" if exact >= rhs / cfg.slack else "0",
+        counts = dict(pass_="1" if exact >= rhs else "0",
                       exact_count=exact, rhs_theorem=rhs)
     else:
         params = SieveParams.of(f, row.x, row.y, phi_mode=cfg.phi_mode,
                                 epsilon=cfg.epsilon)
         rep = selberg_upper_bound(params, row.h)
-        ok = rep.exact_interval_count < rep.rhs_theorem * cfg.slack
+        ok = rep.exact_interval_count < rep.rhs_theorem
         theta = rep.theta_prime if cfg.mode == "interval" else rep.theta
         counts = dict(pass_="1" if ok else "0", z=params.z,
                       exact_count=rep.exact_interval_count, upper_bound=rep.upper_bound,

@@ -42,9 +42,9 @@ def test_char_prefix_sums_rejects():
 
 def test_profile_matches_kronecker():
     for D in (3, 4, 12, 23, 40, 163):
-        prof = char_profile(D)
+        chi = char_profile(D).chi
         for n in range(1, 2 * D + 1):
-            assert prof.chi_at(n) == kronecker(-D, n), (D, n)
+            assert chi[n % D] == kronecker(-D, n), (D, n)
     # the whole period, every discriminant below 2000
     for D in range(3, 2000):
         if D % 4 in (0, 3):
@@ -63,8 +63,7 @@ def test_profile_matches_kronecker():
 
 def test_prefix_sum_step_invariant():
     for D in (3, 8, 23, 100):
-        prof = char_profile(D)
-        vals = [prof.S(t) for t in range(3 * D)]
+        vals = char_prefix_sums(D, 3 * D - 1).tolist()
         assert all(abs(vals[t + 1] - vals[t]) <= 1 for t in range(len(vals) - 1))
 
 
@@ -78,10 +77,11 @@ def test_polya_vinogradov_envelope_measured():
 
 def test_tail_quadratic_against_truncated_sum():
     prof = char_profile(23)
+    N = 10**6
+    S = char_prefix_sums(23, N).tolist()
     for y in (7, 23, 100):
         # truncated brute sum + exact mean tail correction bounds the value
-        N = 10**6
-        brute = sum(prof.S(n) / (n * (n + 1)) for n in range(y, N))
+        brute = sum(S[n] / (n * (n + 1)) for n in range(y, N))
         exact = prof.tail_quadratic(y)
         assert abs(brute - exact) < 5e-6  # remaining tail is mu_S/N-sized
 
@@ -222,7 +222,7 @@ def test_lazy_scan_matches_eager_scan(monkeypatch):
 
     def minima(prof, x, ys, tails, E0=0.0):
         seen.append((x, ys.copy(), tails.copy()))
-        return ErrorFunctionals(x=x, E0=E0, E1=0.0, argmin_y0=1.0, argmin_y1=1.0)
+        return ErrorFunctionals(E0=E0, E1=0.0, argmin_y0=1.0, argmin_y1=1.0)
 
     monkeypatch.setattr(characters.CharacterProfile, "_tail", counted_tail)
     for E0 in (0.0, math.inf):
@@ -275,10 +275,10 @@ def test_weighted_dirichlet_sums_rejects_small_x():
 
 
 def conv_direct(D, N):
-    prof = char_profile(D)
+    chi = char_profile(D).chi.tolist()
     out = [0] * (N + 1)
     for n in range(1, N + 1):
-        out[n] = sum(prof.chi_at(d) for d in range(1, n + 1) if n % d == 0)
+        out[n] = sum(chi[d % D] for d in range(1, n + 1) if n % d == 0)
     return out
 
 
@@ -337,10 +337,11 @@ def test_error_functional_reported_values_are_upper_bounds():
     ef = error_functionals(D, x)
     y0, y1 = int(ef.argmin_y0), int(ef.argmin_y1)
     N = 2 * 10**6
-    tail0 = sum(abs(prof.S(n)) / (n * (n + 1)) for n in range(y0, N))
-    brute0 = y0**2 / x + abs(prof.S(y0)) + x * tail0
+    S = char_prefix_sums(D, N).tolist()
+    tail0 = sum(abs(S[n]) / (n * (n + 1)) for n in range(y0, N))
+    brute0 = y0**2 / x + abs(S[y0]) + x * tail0
     assert brute0 <= ef.E0 + x * (prof.s_max / N) + 1e-9
-    tail1 = sum(abs(prof.S(n)) * (math.log(n) / n - math.log(n + 1) / (n + 1))
+    tail1 = sum(abs(S[n]) * (math.log(n) / n - math.log(n + 1) / (n + 1))
                 for n in range(y1, N))
     brute1 = y1 / x + math.log(x) * tail1
     assert brute1 <= ef.E1 + math.log(x) * prof.s_max * (1 + math.log(N)) / N + 1e-9
@@ -378,11 +379,10 @@ def test_chi_factorization_through_fundamental_part():
                if D % 4 in (0, 3) and fundamental_part(D)[1] > 1]
     for D in rng.sample(nonfund, 100):
         delta_abs, k = fundamental_part(D)
-        prof = char_profile(D)
-        prof_f = char_profile(delta_abs)
+        chi, chi_f = char_profile(D).chi, char_profile(delta_abs).chi
         for n in range(1, 1001):
-            expect = prof_f.chi_at(n) if math.gcd(n, k) == 1 else 0
-            assert prof.chi_at(n) == expect, (D, n)
+            expect = chi_f[n % delta_abs] if math.gcd(n, k) == 1 else 0
+            assert chi[n % D] == expect, (D, n)
 
 
 def test_average_exceptional_report_runs():

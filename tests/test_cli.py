@@ -275,7 +275,7 @@ def test_verify_json_output_bytes(capsys):
     doc = {"schema": "bqf-sieve/1",
            "config": {"Q": 30, "mode": "full", "phi": 0.25, "epsilon": 0.2,
                       "x_rule": None, "y_rule": None, "x_max": 1e7, "k": 10,
-                      "slack": 1.0, "seed": 0},
+                      "seed": 0},
            "columns": ["D", "a", "b", "c", "h", "delta_f", "x", "y", "z",
                        "exact_count", "upper_bound", "rhs_theorem",
                        "theta_or_theta_prime", "pass", "runtime_ms"],
@@ -436,6 +436,16 @@ def test_jobs_above_cap_exit_2_before_any_worker(capsys, monkeypatch, command):
     assert args.jobs == cli.JOBS_MAX
 
 
+def test_library_refuses_jobs_outside_cap_before_any_worker(monkeypatch):
+    # the library's own check, for callers that do not come through the CLI
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    for jobs in (0, cli.JOBS_MAX + 1, 10_000):
+        with pytest.raises(ValueError, match="jobs must lie in"):
+            run_sweep(SweepConfig(Q=100, jobs=jobs))
+        with pytest.raises(ValueError, match="jobs must lie in"):
+            characters.average_exceptional_report(100, 0.1, jobs=jobs)
+
+
 @pytest.mark.parametrize("rule", [
     "().__class__.__base__.__subclasses__().__len__() + 0*D",
     "9**9**9**9 + D",
@@ -514,17 +524,12 @@ def test_run_sweep_records_sorted_and_flagged():
 @pytest.mark.parametrize("argv", [
     ("--mode", "almost", "--k", "9"),
     ("--mode", "almost", "--k", "1"),
-    ("--mode", "almost", "--k", "30", "--slack", "0"),
-    ("--slack", "-1"),
-    ("--slack", "nan"),
-    ("--slack", "inf"),
     ("--time-budget", "nan"),
     ("--time-budget", "-1"),
     ("--epsilon", "0"),
     ("--epsilon", "-1"),
     ("--sample", "-1"),
-], ids=["k9", "k1", "almost-slack0", "slack-neg", "slack-nan", "slack-inf",
-        "budget-nan", "budget-neg", "epsilon0", "epsilon-neg", "sample-neg"])
+], ids=["k9", "k1", "budget-nan", "budget-neg", "epsilon0", "epsilon-neg", "sample-neg"])
 def test_verify_rejects_bad_config(capsys, argv):
     # rejected by SweepConfig before any row runs, not by a ZeroDivisionError,
     # with a message that names the field

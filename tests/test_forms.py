@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bqfsieve.forms import (Form, delta_f, discriminant, enumerate_class_set,
+from bqfsieve.forms import (Form, delta_f, enumerate_class_set,
                             fundamental_part, is_discriminant, is_primitive,
                             is_reduced, reduce_form, reduced_forms_upto, scale_form,
                             unit_count)
@@ -32,9 +32,8 @@ def orbit_reduced_forms(f, depth=8):
 
 
 def test_discriminant_examples():
-    assert discriminant(Form(1, 0, 1)) == -4
-    assert discriminant(Form(1, 1, 1)) == -3
-    assert discriminant(Form(3, 2, 5)) == -56
+    assert Form(1, 0, 1).D == 4
+    assert Form(1, 1, 1).D == 3
     assert Form(3, 2, 5).D == 56
 
 
@@ -110,15 +109,15 @@ def test_is_primitive():
 
 def test_enumerate_class_set_examples():
     cs4 = enumerate_class_set(4)
-    assert [f.triple() for f in cs4] == [(1, 0, 1)] and cs4.h == 1 and cs4.w == 4
+    assert [f.triple() for f in cs4.reduced_forms] == [(1, 0, 1)] and cs4.h == 1
     cs23 = enumerate_class_set(23)
-    assert {f.triple() for f in cs23} == {(1, 1, 6), (2, 1, 3), (2, -1, 3)}
-    assert cs23.h == 3 and cs23.w == 2
+    assert {f.triple() for f in cs23.reduced_forms} == {(1, 1, 6), (2, 1, 3), (2, -1, 3)}
+    assert cs23.h == 3
     cs15 = enumerate_class_set(15)
-    assert {f.triple() for f in cs15} == {(1, 1, 4), (2, 1, 2)}
+    assert {f.triple() for f in cs15.reduced_forms} == {(1, 1, 4), (2, 1, 2)}
     assert cs15.h == 2
     cs3 = enumerate_class_set(3)
-    assert cs3.h == 1 and cs3.w == 6
+    assert cs3.h == 1
 
 
 def test_enumerate_class_set_rejects_non_discriminant():
@@ -175,7 +174,7 @@ def test_delta_f_reduced_characterization():
     for D in range(3, 400):
         if D % 4 not in (0, 3):
             continue
-        for f in enumerate_class_set(D):
+        for f in enumerate_class_set(D).reduced_forms:
             expect = 1 if (f.b == 0 or f.a == f.b or f.a == f.c) else 0.5
             assert delta_f(f) == expect, f
 

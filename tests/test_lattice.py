@@ -100,6 +100,14 @@ def test_rows_match_brute_enumeration(f, x):
     (Form(1, 0, 2**40 + 3), (2**28 + 1) ** 2 - 1),
     (Form(3, 2, 2**41 + 7), 2**50 + 12345),
     (Form(7, -5, 2**45 + 1), 3 * 2**55 + 1),
+    # near 2^62: S = k^2 - 1 for k = 2^31 - 1, a perfect square, S = (2m)^2 - 4,
+    # the largest T, and thousands of rows through the corrected float root
+    (Form(1, 0, 2**50 + 3), ((2**31 - 1) ** 2 - 1) // 4),
+    (Form(1, 0, 2**50 + 3), (2**30 - 1) ** 2),
+    (Form(1, 0, 2**50 + 3), (2**30 - 1) ** 2 - 1),
+    (Form(1, 0, 2**50 + 3), 2**60 - 1),
+    (Form(1, 1, 2**40 + 1), 2**60 - 1),
+    (Form(5, 3, 2**36 + 11), (2**62 - 1) // 20),
 ])
 def test_rows_against_isqrt_near_2_52(f, X):
     v, lo, hi = _rows(f, X)
@@ -296,7 +304,7 @@ def test_block_memo_stays_within_its_cell_bound():
 def test_cold_and_warm_caches_agree():
     ells = [l for l in range(1, 31) if mult_functions(l).squarefree]
     cases = [(f, ell) for D in range(3, 61) if is_discriminant(D)
-             for f in enumerate_class_set(D) for ell in ells]
+             for f in enumerate_class_set(D).reduced_forms for ell in ells]
     caches = (lattice._prefix_block, lattice._local_density_g, arith.factorize,
               arith.mult_functions, lattice._prime_roots, characters._profile_cache)
 
@@ -505,7 +513,7 @@ def test_value_bitmap_runs_on_the_reduced_form():
 def test_decomposition_identities_small_grid():
     # the acceptance suite runs the full D <= 500 sweep; spot-check here
     for D in (3, 4, 15, 20, 23, 40):
-        for f in enumerate_class_set(D):
+        for f in enumerate_class_set(D).reduced_forms:
             for ell in (6, 10, 21, 30):
                 cc = count_congruence(EllipseWindow.of(f, 300), ell)
                 assert cc.a_ell == sum(cc.a_ell_by_d.values())

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bqfsieve import sieve
+from bqfsieve.arith import primes_upto
 from bqfsieve.forms import (Form, delta_f, enumerate_class_set, is_reduced,
                             reduced_forms_upto, unit_count)
 from bqfsieve.lattice import count_A, EllipseWindow, local_density_g
 from bqfsieve.sieve import (SieveParams, count_almost_primes, full_range_x, pi_f,
-                            pi_f_interval, prime_count_upto, selberg_system,
+                            pi_f_interval, selberg_system,
                             selberg_upper_bound, sifted_interval_count,
                             theorem_rhs)
 from bqfsieve.sweeps import SweepConfig, run_sweep
@@ -346,12 +347,6 @@ def test_almost_prime_density_small():
     assert count_almost_primes(f, x, 10) >= 0.5 * x / (math.sqrt(f.D) * math.log(x) ** 2)
 
 
-def test_prime_count_upto():
-    assert prime_count_upto(1.5) == 0
-    assert prime_count_upto(2) == 1
-    assert prime_count_upto(100) == 25
-
-
 def test_sieve_refuses_x_above_the_mask_cap_before_any_window():
     # 2,309,401 window rows, under the row cap: the mask cap refuses first
     import tracemalloc
@@ -377,7 +372,8 @@ def test_step0_inequality_on_sweep_rows():
             params = SieveParams.of(f, x, x)
             lhs = unit_count(D) / delta_f(f) * pi_f_interval(f, x, x)
             sifted = sifted_interval_count(f, x, x, params.z)
-            rhs = sifted + unit_count(D) / delta_f(f) * prime_count_upto(params.z)
+            pi_z = len(primes_upto(math.floor(params.z)))
+            rhs = sifted + unit_count(D) / delta_f(f) * pi_z
             assert lhs <= rhs, (D, f.triple(), x)
 
 
