@@ -11,12 +11,14 @@ never past MASK_CAP cells.  `primes_upto` gives Python ints, so no numpy
 scalar reaches a Fraction, a cache key or pow.  `factorize` and
 `mult_functions` are memoised, and `CellMemo` is the package's one memo for
 arrays: least recently used out first, bounded by the cells it keeps.
+`worker_map` is its one worker pool, refusing jobs outside [1, JOBS_MAX].
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -37,11 +39,33 @@ __all__ = [
     "primes_upto",
     "spf_upto",
     "big_omega_upto",
+    "worker_map",
 ]
 
 
 MASK_CAP = 2 * 10**8   # cells of each shared table
 JOBS_MAX = 64  # a pool forks all of its workers on its first task, ~60 MiB each
+
+
+@contextmanager
+def worker_map(fn, items, jobs: int, init=None, *initargs):
+    """Yield fn mapped over items in order, after init(*initargs): here for
+    one job or item, else on a pool of `jobs` workers that takes the items in
+    chunks of 16 and cancels the queued chunks on exit."""
+    if not 1 <= jobs <= JOBS_MAX:
+        raise ValueError(f"jobs must lie in [1, {JOBS_MAX}], got {jobs}")
+    if jobs == 1 or len(items) <= 1:
+        if init:
+            init(*initargs)
+        yield map(fn, items)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(jobs, initializer=init, initargs=initargs)
+    try:
+        yield pool.map(fn, items, chunksize=16)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sieve_primes(limit: int) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import bernoulli, digamma
 
-from .arith import JOBS_MAX, CellMemo, primes_upto, spf_upto
+from .arith import CellMemo, primes_upto, spf_upto, worker_map
 from .forms import D_MAX, Q_MAX, Form, is_discriminant, unit_count
 from .lattice import local_density_g
 
@@ -416,17 +416,10 @@ def average_exceptional_report(Q: int, epsilon: float, x_cap: float = 1e7,
         raise ValueError("epsilon must lie in (0, 1/8)")
     if not (math.isfinite(x_cap) and x_cap >= 1):
         raise ValueError(f"x_cap must be a finite number >= 1, got {x_cap}")
-    if not 1 <= jobs <= JOBS_MAX:
-        raise ValueError(f"jobs must lie in [1, {JOBS_MAX}], got {jobs}")
     members = family(Q)
     scan = partial(scan_discriminant, epsilon=epsilon, x_cap=x_cap)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flags = list(pool.map(scan, members, chunksize=32))
-    else:
-        flags = list(map(scan, members))
+    with worker_map(scan, members, jobs) as flags:
+        flags = list(flags)
     ve = sum(1 for e, _ in flags if e)
     vl = sum(1 for _, l in flags if l)
     total = len(members)

@@ -6,8 +6,9 @@ sweep contains a failing row or a pool worker of `verify` or `family` dies.
 Every report but verify's is printed by `_emit`, as text or as one JSON line;
 verify writes a CSV (CSV_COLUMNS, after a header row) or indented JSON.  Floats
 are printed with 10 significant digits and booleans as 0/1, and JSON is
-versioned under "schema": "bqf-sieve/1".  The environment variable BQF_THREADS
-overrides --jobs; either is capped at JOBS_MAX = 64.
+versioned under "schema": "bqf-sieve/1".  --jobs is the one job count of
+verify and family; the library refuses one outside [1, arith.JOBS_MAX]
+before any worker starts, and main turns that ValueError into exit code 2.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import contextlib
 import csv
 import json
 import math
-import os
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from functools import partial
 
 from . import __version__
-from .arith import JOBS_MAX
 from .characters import average_exceptional_report
 from .forms import (Form, delta_f, enumerate_class_set, is_primitive, reduce_form,
                     unit_count)
@@ -282,25 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _set_jobs(args) -> None:
-    """Apply the BQF_THREADS override (the one place it is read) and require
-    an integer job count in [1, JOBS_MAX], before any worker starts."""
-    env = os.environ.get("BQF_THREADS")
-    if env:
-        try:
-            args.jobs = int(env)
-        except ValueError:
-            raise ValueError(f"BQF_THREADS must be an integer, got {env!r}") from None
-    if not 1 <= args.jobs <= JOBS_MAX:
-        raise ValueError(f"jobs (--jobs or BQF_THREADS) must lie in [1, {JOBS_MAX}], "
-                         f"got {args.jobs}")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "jobs" in args:
-            _set_jobs(args)
         return args.func(args)
     except ValueError as exc:  # a RuleError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import mult_functions
+from .arith import factorize
 
 __all__ = [
     "Form",
@@ -228,26 +228,14 @@ def scale_form(f: Form, r: int) -> ScaledForm:
 def fundamental_part(D: int) -> tuple[int, int]:
     """Write -D = Delta * k^2 with Delta a fundamental discriminant.
 
-    Returns (|Delta|, k).  Searched exactly over square divisors; fine at
-    desk scale.
+    Returns (|Delta|, k), read from D = prod p^e: with d0 = prod p^(e mod 2)
+    and k = prod p^(e // 2), D = d0 k^2, and -d0 is fundamental when
+    d0 = 3 mod 4; otherwise k is even (D = 0 mod 4) and |Delta| = 4 d0.
     """
     if not is_discriminant(D):
         raise ValueError(f"-{D} is not a discriminant")
-    for k in range(math.isqrt(D), 0, -1):
-        if D % (k * k) != 0:
-            continue
-        m = D // (k * k)
-        if _is_fundamental(m):
-            return m, k
-    raise AssertionError(f"no fundamental part found for {D}")
-
-
-def _is_fundamental(m: int) -> bool:
-    # -m fundamental: m = 3 mod 4 squarefree, or m = 4m' with m' = 1, 2 mod 4
-    # squarefree
-    if m % 4 == 3:
-        return mult_functions(m).squarefree
-    if m % 4 == 0:
-        mp = m // 4
-        return mp % 4 in (1, 2) and mult_functions(mp).squarefree
-    return False
+    d0, k = 1, 1
+    for p, e in factorize(D).factors:
+        d0 *= p ** (e % 2)
+        k *= p ** (e // 2)
+    return (d0, k) if d0 % 4 == 3 else (4 * d0, k // 2)

@@ -212,9 +212,11 @@ def _residue_rows(window: EllipseWindow, ell: int):
     The blocks a window needs may hold _RESIDUE_CELLS cells in all, checked
     before any is built.  The caller checks l (`_require_squarefree`).
     """
+    v, lo, hi = window.rows
+    if ell == 1:  # every (u, v) is a root mod 1: no table
+        return v, lo, hi, hi - lo + 1
     f = window.f
     a, b, c = f.a % ell, f.b % ell, f.c % ell
-    v, lo, hi = window.rows
     vbar = v % ell
     step = max(1, _TABLE_CELLS // ell)
     if step >= ell:  # one block holds the whole table
@@ -245,16 +247,12 @@ def _block_counts(P: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 def count_A_ell(window: EllipseWindow, ell: int) -> int:
     """|A_l| alone (cheaper than the full decomposition)."""
     _require_squarefree(ell)
-    if ell == 1:
-        return count_A(window)
     return int(_residue_rows(window, ell)[3].sum())
 
 
 def count_B_ell(window: EllipseWindow, ell: int) -> int:
     """|B_l| = #{(u,v) in A : gcd(v,l) = 1, f(u,v) = 0 mod l}."""
     _require_squarefree(ell)
-    if ell == 1:
-        return count_A(window)
     v, _, _, counts = _residue_rows(window, ell)
     return int(counts[np.gcd(v, ell) == 1].sum())
 
@@ -307,9 +305,11 @@ class CongruenceCount:
 def count_congruence(window: EllipseWindow, ell: int) -> CongruenceCount:
     """All congruence counts for squarefree l in one pass over the window.
 
-    A_l and B_l go through the residue root table; each B_l(m) is counted
-    directly from the linear congruence u = mv, so the disjoint-union
-    identities relating them are genuine cross-checks, not tautologies.
+    A_l, every A_l(d) and B_l = A_l(1) sum one per-row count of the residue
+    root table, so A_l = sum_d A_l(d) and A_l(1) = B_l hold by construction.
+    Each B_l(m) is counted directly from the linear congruence u = mv, so
+    B_l = sum_m B_l(m) sets the root table against those congruences; with
+    A_l(d) = |B_{l/d}| of the scaled form, these two compare independent paths.
     A window over the residue-cell bound is refused before the roots are
     scanned.
     """

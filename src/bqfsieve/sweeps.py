@@ -15,12 +15,12 @@ list itself would pick, and only they are built.  Each row is one
 `SweepRecord` from the key list to the CSV: a row in range is "skipped" until
 it runs, and running it fills in its counts.
 
-Rows run in key order, serially or on a process pool, so records do not
-depend on `jobs` (runtime_ms is the one measured column).  A pool takes the
-rows in chunks of 16, one round trip each.  The time budget is checked before
-each row is taken; once it has run out, the remaining rows are skipped and
-queued chunks are cancelled, while a chunk that has started runs to its end.
-A dead worker raises BrokenProcessPool (the CLI exits 3).
+Rows run in key order through `arith.worker_map`, serially or on its pool,
+so records do not depend on `jobs` (runtime_ms is the one measured column).
+The time budget is checked before each row is taken; once it has run out,
+the remaining rows are skipped and queued chunks are cancelled, while a
+chunk that has started runs to its end.  A dead worker raises
+BrokenProcessPool (the CLI exits 3).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
-from .arith import JOBS_MAX, MASK_CAP, prime_table
+from .arith import JOBS_MAX, MASK_CAP, prime_table, worker_map
 from .forms import Q_MAX, Form, delta_f, reduced_forms_upto
 from .sieve import (SieveParams, almost_range_x, almost_rhs, count_almost_primes,
                     full_range_x, interval_min_y, selberg_upper_bound)
@@ -238,27 +238,15 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     # pi_f reads the prime mask up to each row's x: size it once, for the largest
     mask_x = (math.floor(max((r.x for r in live), default=0))
               if cfg.mode != "almost" else 0)
-    run = partial(_run_row, cfg)
-    pool, results = None, map(run, live)
-    if cfg.jobs > 1 and len(live) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(cfg.jobs, initializer=prime_table if mask_x else None,
-                                   initargs=(mask_x,))
-        results = pool.map(run, live, chunksize=16)
-    elif mask_x:
-        prime_table(mask_x)
     records, expired = [], False
-    try:
+    with worker_map(partial(_run_row, cfg), live, cfg.jobs,
+                    prime_table if mask_x else None, mask_x) as results:
         for row in rows:
             if row.pass_ == "skipped" and not expired:
                 expired = (cfg.time_budget is not None
                            and time.monotonic() - start > cfg.time_budget)
                 row = row if expired else next(results)
             records.append(row)
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
     n = Counter(r.pass_ for r in records)
     ratios = [r.rhs_theorem / r.exact_count if cfg.mode == "almost"
               else r.exact_count / r.rhs_theorem for r in records if r.exact_count]

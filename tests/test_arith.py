@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -294,3 +295,30 @@ def test_cell_memo_is_a_cell_bounded_lru():
     assert list(memo.kept) == [10] and memo.cells == 10
     memo.cache_clear()
     assert not memo.kept and memo.cells == 0 and 10 not in memo
+
+
+_initialised = []
+
+
+def _square_where(x):
+    return x * x, os.getpid(), tuple(_initialised)
+
+
+def test_worker_map_in_process_and_on_a_pool():
+    # one job or one item maps here after init; more go to `jobs` workers,
+    # each running init first, and come back in item order
+    here = os.getpid()
+    for items, jobs in (([3, 1, 2], 1), ([5], 2)):
+        _initialised.clear()
+        with arith.worker_map(_square_where, items, jobs, _initialised.append, "x") as it:
+            assert list(it) == [(x * x, here, ("x",)) for x in items]
+    _initialised.clear()
+    with arith.worker_map(_square_where, range(40), 2, _initialised.append, "y") as it:
+        out = list(it)
+    assert [sq for sq, _, _ in out] == [x * x for x in range(40)] and _initialised == []
+    assert here not in {pid for _, pid, _ in out}
+    assert {seen for _, _, seen in out} == {("y",)}
+    for jobs in (0, arith.JOBS_MAX + 1):
+        with pytest.raises(ValueError, match="jobs must lie in"):
+            with arith.worker_map(_square_where, range(40), jobs):
+                pass

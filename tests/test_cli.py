@@ -1,4 +1,3 @@
-import argparse
 import concurrent.futures
 import dataclasses
 import functools
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from bqfsieve import characters, cli, forms, sweeps
+from bqfsieve import arith, characters, forms, sweeps
 from bqfsieve.characters import family
 from bqfsieve.cli import main
 from bqfsieve.forms import delta_f, enumerate_class_set
@@ -424,22 +423,15 @@ def _no_pool(*args, **kwargs):
 def test_jobs_above_cap_exit_2_before_any_worker(capsys, monkeypatch, command):
     # a pool that cannot start: a regressed check fails here instead of forking
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    for jobs in (cli.JOBS_MAX + 1, 100_000):
+    for jobs in (0, arith.JOBS_MAX + 1, 100_000):
         code, out, err = run_cli(capsys, *command, "--jobs", str(jobs))
         assert code == 2 and out == "" and "jobs" in err and "Traceback" not in err
-        monkeypatch.setenv("BQF_THREADS", str(jobs))
-        code, out, err = run_cli(capsys, *command, "--jobs", "1")
-        assert code == 2 and out == "" and "BQF_THREADS" in err
-        monkeypatch.delenv("BQF_THREADS")
-    args = argparse.Namespace(jobs=cli.JOBS_MAX)
-    cli._set_jobs(args)  # the cap itself passes
-    assert args.jobs == cli.JOBS_MAX
 
 
 def test_library_refuses_jobs_outside_cap_before_any_worker(monkeypatch):
     # the library's own check, for callers that do not come through the CLI
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    for jobs in (0, cli.JOBS_MAX + 1, 10_000):
+    for jobs in (0, arith.JOBS_MAX + 1, 10_000):
         with pytest.raises(ValueError, match="jobs must lie in"):
             run_sweep(SweepConfig(Q=100, jobs=jobs))
         with pytest.raises(ValueError, match="jobs must lie in"):
@@ -468,18 +460,22 @@ def test_verify_rejects_hostile_rule(capsys, rule):
     assert time.monotonic() - started < 5
 
 
-def test_bqf_threads_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BQF_THREADS", "2")
-    p = tmp_path / "sweep.csv"
-    code, _, _ = run_cli(capsys, "verify", "--Q", "30", "--jobs", "1",
-                         "--out", str(p))
-    assert code == 0
-    assert len(p.read_text().splitlines()) > 1
-    for bad in ("abc", "0", "-2", "1.5"):
+def test_bqf_threads_env_is_ignored(capsys, monkeypatch):
+    # --jobs is the one job count: the variable neither refuses nor changes a run
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.delenv("BQF_THREADS", raising=False)
+    argvs = (("verify", "--Q", "30"), ("family", "--Q", "100", "--format", "json"))
+
+    def runs():  # exit code, stdout without verify's runtime_ms column, stderr
+        out = [run_cli(capsys, *argv) for argv in argvs]
+        csv_rows = [line.rsplit(",", 1)[0] for line in out[0][1].splitlines()]
+        return out[0][0], csv_rows, out[0][2], out[1]
+
+    plain = runs()
+    assert plain[0] == plain[3][0] == 0 and len(plain[1]) > 1
+    for bad in ("abc", "0"):
         monkeypatch.setenv("BQF_THREADS", bad)
-        for argv in (("family", "--Q", "100"), ("verify", "--Q", "10")):
-            code, _, err = run_cli(capsys, *argv)
-            assert code == 2 and "BQF_THREADS" in err, (bad, argv)
+        assert runs() == plain, bad
 
 
 def test_eval_rule():
@@ -784,7 +780,6 @@ def test_theorem_sweep_script_csv_matches_verify(tmp_path, capsys):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_theorem_sweep.py"
     src = str(script.parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    env.pop("BQF_THREADS", None)
     subprocess.run([sys.executable, str(script), "--Q", "40", "--jobs", "1",
                     "--out", str(tmp_path / "script.csv")],
                    check=True, capture_output=True, env=env, timeout=120)
@@ -800,7 +795,6 @@ def test_readme_cli_examples(capsys, monkeypatch, tmp_path):
     lines = [line for line in block.splitlines() if line.startswith("bqf ")]
     assert len(lines) >= 8
     monkeypatch.chdir(tmp_path)  # for the files that --out writes
-    monkeypatch.delenv("BQF_THREADS", raising=False)
     for line in lines:
         command, _, comment = line.partition("#")
         code, out, err = run_cli(capsys, *shlex.split(command)[1:])

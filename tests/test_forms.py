@@ -204,8 +204,25 @@ def test_fundamental_part():
     assert fundamental_part(4) == (4, 1)
     assert fundamental_part(16) == (4, 2)
     assert fundamental_part(75) == (3, 5)
-    for D in range(3, 500):
-        if D % 4 not in (0, 3):
-            continue
-        delta, k = fundamental_part(D)
-        assert delta * k * k == D
+    assert fundamental_part(7 * 1000003**2) == (7, 1000003)  # D > 10^12
+    assert fundamental_part(4 * 5 * 1000003**2) == (20, 1000003)
+    assert fundamental_part(10**12 + 3) == (10**12 + 3, 1)
+    for D in range(3, 20001):
+        if is_discriminant(D):
+            assert fundamental_part(D) == _fundamental_part_by_search(D), D
+
+
+def _fundamental_part_by_search(D):
+    """Oracle: the largest k with k^2 | D and -D/k^2 fundamental, searched
+    downwards from isqrt(D)."""
+    for k in range(math.isqrt(D), 0, -1):
+        if D % (k * k) == 0:
+            m = D // (k * k)
+            if m % 4 == 3 and _squarefree(m):
+                return m, k
+            if m % 4 == 0 and (m // 4) % 4 in (1, 2) and _squarefree(m // 4):
+                return m, k
+
+
+def _squarefree(n):
+    return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))

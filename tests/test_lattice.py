@@ -170,6 +170,20 @@ def test_count_congruence_examples():
     assert cc3.b_ell == b3
 
 
+def test_modulus_one_takes_the_residue_path_without_a_block():
+    # at l = 1 every point is a root: each count is |A|, and no prefix block
+    # is built or touched
+    kept = list(lattice._prefix_block.kept)
+    for f, x in ((Form(1, 0, 1), 10), (Form(2, 1, 3), 1000), (Form(1, 1, 262144), 1e12)):
+        w = EllipseWindow.of(f, x)
+        n = count_A(w)
+        cc = count_congruence(w, 1)
+        assert (cc.a_ell, cc.a_ell_by_d, cc.b_ell, cc.b_ell_by_m, cc.roots) == (
+            n, {1: n}, n, {0: n}, (0,))
+        assert count_A_ell(w, 1) == n == count_B_ell(w, 1)
+    assert list(lattice._prefix_block.kept) == kept
+
+
 def test_count_congruence_rejects_nonsquarefree():
     with pytest.raises(ValueError):
         count_congruence(EllipseWindow.of(Form(1, 0, 1), 10), 4)
@@ -227,7 +241,7 @@ def test_count_congruence_in_residue_blocks(monkeypatch):
                 a_ell, by_d, b_ell = brute_congruence(w.f, 150, ell)
                 assert cc.a_ell == a_ell and cc.b_ell == b_ell
                 assert {d: n for d, n in cc.a_ell_by_d.items() if n} == by_d
-        assert {ell for ell, _ in read} == set(ells)
+        assert {ell for ell, _ in read} == set(ells) - {1}  # l = 1 reads no block
         for ell, (height, width) in read:
             assert width == ell + 1 and height * ell <= max(cells, ell), (ell, height)
 

@@ -6,14 +6,16 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bqfsieve import sieve
-from bqfsieve.arith import primes_upto
-from bqfsieve.forms import (Form, delta_f, enumerate_class_set, is_reduced,
-                            reduced_forms_upto, unit_count)
-from bqfsieve.lattice import count_A, EllipseWindow, local_density_g
+from bqfsieve.arith import factorize, primes_upto
+from bqfsieve.characters import char_profile
+from bqfsieve.forms import (Form, delta_f, enumerate_class_set, is_discriminant,
+                            is_reduced, reduced_forms_upto, unit_count)
+from bqfsieve.lattice import count_A, EllipseWindow, local_density_g, r_f
 from bqfsieve.sieve import (SieveParams, count_almost_primes, full_range_x, pi_f,
                             pi_f_interval, selberg_system,
                             selberg_upper_bound, sifted_interval_count,
@@ -392,3 +394,25 @@ def test_count_almost_primes_rejects_x_above_cap_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.slow
+def test_split_primes_weighted_by_delta_f():
+    # a prime p not dividing D with chi_{-D}(p) = 1 is represented by the
+    # class of f and that of f(u, -v), one class of weight delta_f = 1 when
+    # they coincide, else two of weight 1/2; the right side reads chi alone
+    x = 10**5
+    primes = np.array(primes_upto(x))
+    bad, forms_seen = [], 0
+    for D in range(3, 1001):
+        if not is_discriminant(D):
+            continue
+        ramified = [p for p, _ in factorize(D).factors]
+        lhs = 0.0
+        for f in enumerate_class_set(D).reduced_forms:
+            lhs += delta_f(f) * (pi_f(f, x) - sum(1 for p in ramified if r_f(f, p)))
+            forms_seen += 1
+        rhs = int(np.count_nonzero(char_profile(D).chi[primes % D] == 1))
+        if lhs != rhs:
+            bad.append((D, lhs, rhs))
+    assert bad == [] and forms_seen == 4449
