@@ -5,7 +5,8 @@ b^2 - 4ac = -D < 0.  This module owns reduction (the classical Gauss loop),
 primitivity, enumeration of the reduced primitive classes of a given
 discriminant (giving the class number h(-D)) or of every discriminant up to
 a bound at once (as int64 arrays), the unit count w attached to
--D, the opposite-class constant delta_f, and the coordinate scaling
+-D, ambiguity (f properly equivalent to its opposite f(u,-v)) and the
+opposite-class constant delta_f read from it, and the coordinate scaling
 f_r(u,w) = f(u, rw) used by the congruence-sum change of variables.
 
 Conventions: reduced means |b| <= a <= c with b >= 0 whenever |b| = a or
@@ -32,6 +33,7 @@ __all__ = [
     "is_primitive",
     "enumerate_class_set",
     "reduced_forms_upto",
+    "is_ambiguous",
     "delta_f",
     "scale_form",
     "is_discriminant",
@@ -202,14 +204,17 @@ def reduced_forms_upto(Q: int) -> tuple[np.ndarray, ...]:
     return (*cols, np.bincount(D)[D])
 
 
-def delta_f(f: Form) -> float:
-    """1 if f is properly equivalent to its opposite f(u,-v), else 1/2.
+def is_ambiguous(f: Form) -> bool:
+    """True iff f is properly equivalent to its opposite f(u,-v): the two
+    reduce to one form.  For reduced f that is: b = 0, a = b, or a = c."""
+    return reduce_form(f) == reduce_form(f.opposite())
 
-    For reduced f that is: b = 0, a = b, or a = c.
-    """
+
+def delta_f(f: Form) -> float:
+    """1 if the reduced form f is ambiguous, else 1/2."""
     if not is_reduced(f):
         raise ValueError(f"delta_f expects a reduced form, got {f.triple()}")
-    return 1.0 if reduce_form(f.opposite()) == f else 0.5
+    return 1.0 if is_ambiguous(f) else 0.5
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,12 @@ an integer square root, and every count here is built on its rows.
 Counting is O(V) in the window height V = sqrt(4ax/D).  The values f(u,v)
 themselves come from one value kernel on the same rows (`_row_values`, on the
 v >= 0 rows of the reduced form): a U = arange and a U^2 once per window, then
-one allocation and two in-place adds per row.  `value_bitmap` and
-`sieve.sifted_interval_count` both read it.
+one allocation and two in-place adds per row; asked for odd values only, it
+keeps one parity of u (a step-2 slice), the whole row or nothing, as
+f(u,v) = u (a + bv) + cv (mod 2).  `count_odd_points` (behind `sieve.pi_f`)
+gathers its odd values from the odd half of the prime mask,
+`sieve.sifted_interval_count` sieves its values, and `value_bitmap` (behind
+the almost-prime count alone) marks them.
 
 The package's cache policy covers the counts: a window computes its rows once
 (`EllipseWindow.rows`, read-only) and every count on it shares them; the
@@ -59,6 +63,7 @@ __all__ = [
     "local_density_g",
     "local_density_report",
     "value_bitmap",
+    "count_odd_points",
 ]
 
 
@@ -398,8 +403,10 @@ def local_density_report(window: EllipseWindow, ell: int,
                               envelope=envelope)
 
 
-def _row_values(f: Form, X: int):
-    """Yield (w, f(u, w) for lo <= u <= hi) for each kernel row w >= 0 of {f <= X}.
+def _row_values(f: Form, X: int, odd: bool = False):
+    """Yield (w, f(u, w) for lo <= u <= hi) for each kernel row w >= 0 of {f <= X},
+    or with odd=True only the odd values: f(u, w) = u (a + b w) + c w (mod 2),
+    so a row keeps the u of one parity (a step-2 slice), all u or none.
 
     The rows are those of g = reduce_form(f), which takes the same values as f
     with the same multiplicities; the rows v < 0 repeat the rows -v, as
@@ -420,10 +427,34 @@ def _row_values(f: Form, X: int):
     U = np.arange(umin, int(hi.max()) + 1, dtype=np.int64)
     aU2 = a * U * U
     for w, l, h in zip(v.tolist(), (lo - umin).tolist(), (hi + 1 - umin).tolist()):
-        t = U[l:h] * (b * w)
-        t += aU2[l:h]
+        step = 1
+        if odd:
+            if (a + b * w) & 1:
+                l += (umin + l + c * w + 1) & 1  # the first u with u + c w odd
+                step = 2
+            elif not c * w & 1:
+                continue
+        t = U[l:h:step] * (b * w)
+        t += aU2[l:h:step]
         t += c * w * w
         yield w, t
+
+
+def count_odd_points(f: Form, x, low: int, odd: np.ndarray) -> int:
+    """#{(u, v) : low < n <= x, n = f(u, v) odd with odd[n >> 1]} over the whole
+    plane: the odd values of the v >= 0 rows of `_row_values`, gathered from
+    `odd` (odd[k] marks n = 2k + 1) and weighted 2 off row 0, as row -w repeats
+    row w.  `odd` must cover every odd n <= x."""
+    X = math.floor(x)
+    if X < 1:
+        return 0
+    total = 0
+    for w, t in _row_values(f, X, odd=True):
+        if low > 0:  # every odd value is above a low below 1
+            t = t[t > low]
+        t >>= 1
+        total += (2 if w else 1) * int(np.count_nonzero(odd[t]))
+    return total
 
 
 def value_bitmap(f: Form, x) -> np.ndarray:

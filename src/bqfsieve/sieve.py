@@ -19,6 +19,14 @@ the degenerate l = 1 one and the bound reduces to 2 pi y / sqrt(D) plus the
 exact remainder, and the sifted count is the l = 1 interval count itself.
 The machinery is exercised at larger z by the tests.
 
+pi_f needs no table of represented values.  A prime p not dividing D has
+r_f(p) = 0 or r = w (1 + [f ambiguous]) representations (w = unit_count(D)),
+so it counts the lattice points whose value is an odd prime in range, read
+from the odd half of the prime mask (`lattice.count_odd_points`), subtracts
+r_f(p) for the odd p | D, divides by r (a remainder raises RuntimeError),
+and adds 1 for each p | 2D in range that f represents.  The value bitmap
+serves only the almost-prime count, which needs Omega of every value.
+
 Primes, the prime mask and Omega come from the one table in `arith` (grown to
 max(request, 2 x current), capped at MASK_CAP); this module keeps none.
 A report computes script_J and its degenerate-L branch only when they are read
@@ -36,11 +44,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import arith
-from .arith import big_omega_upto, mult_functions, prime_table, primes_upto
+from .arith import big_omega_upto, factorize, mult_functions, prime_table, primes_upto
 from .characters import L_values, sum_local_densities
-from .forms import Form, delta_f, enumerate_class_set, is_primitive, is_reduced
+from .forms import (Form, delta_f, enumerate_class_set, is_ambiguous, is_primitive,
+                    is_reduced, reduce_form, unit_count)
 from .lattice import (EllipseWindow, _row_span, _row_values, count_A_ell,
-                      local_density_g, value_bitmap)
+                      count_odd_points, local_density_g, r_f, value_bitmap)
 
 __all__ = [
     "SieveParams",
@@ -66,14 +75,16 @@ def __getattr__(name: str):
 
 
 def pi_f(f: Form, x) -> int:
-    """Number of primes p <= x represented by f, by exhaustive enumeration."""
+    """Number of primes p <= x represented by f (`pi_f_interval` at y = x)."""
     x = max(x, 0)
     return pi_f_interval(f, x, x)
 
 
 def pi_f_interval(f: Form, x, y) -> int:
     """pi_f(x) - pi_f(x - y), for 0 <= y <= x: the represented primes p with
-    floor(x - y) < p <= floor(x), from one bitmap up to x."""
+    floor(x - y) < p <= floor(x): the lattice points on an odd prime in range,
+    less r_f(p) for the odd p | D, over r = w (1 + [f ambiguous]), plus the
+    p | 2D in range that f represents."""
     if not is_primitive(f):
         raise ValueError("pi_f expects a primitive form")
     if not 0 <= y <= x:
@@ -81,10 +92,23 @@ def pi_f_interval(f: Form, x, y) -> int:
     X = math.floor(x)
     if X < 2:
         return 0
-    mask = prime_table(X)  # first: an x above the cap fails before the bitmap
-    rep = value_bitmap(f, X)
-    rep &= mask[: X + 1]
-    return int(np.count_nonzero(rep[math.floor(x - y) + 1 :]))
+    low = math.floor(x - y)
+    mask = prime_table(X)  # first: an x above the cap fails before any array
+    points = count_odd_points(f, X, low, mask[1::2])
+    g = reduce_form(f)
+    count = 0
+    for p in {2, *(p for p, _ in factorize(f.D).factors)}:
+        if low < p <= X:
+            rp = r_f(g, p)
+            if p > 2:
+                points -= rp
+            count += rp > 0
+    r = unit_count(f.D) * (1 + is_ambiguous(f))
+    primes, rest = divmod(points, r)
+    if rest:
+        raise RuntimeError(f"{points} points of {f.triple()} with a prime value not "
+                           f"dividing 2D do not divide by r = {r}")
+    return count + primes
 
 
 def sifted_interval_count(f: Form, x, y, z) -> int:

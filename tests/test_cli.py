@@ -227,6 +227,29 @@ COMMAND_GOLDEN = {
         "pi_f(1000) - pi_f(500) = 36  (Chebotarev main term 37.90789275)\n",
         '{"schema": "bqf-sieve/1", "form": [1, 0, 1], "x": 1000.0, "y": 500.0, '
         '"count": 36, "chebotarev_main": 37.90789275076281}\n'),
+    # a non-reduced form of the class (2, +-1, 3) of D = 23
+    ("pif", "3", "7", "6", "10000"): (
+        "pi_f(10000) = 408  (Chebotarev main term 415.030684)\n",
+        '{"schema": "bqf-sieve/1", "form": [3, 7, 6], "x": 10000.0, "y": null, '
+        '"count": 408, "chebotarev_main": 415.03068403975726}\n'),
+    # w = 6 and w = 4; x^2 + y^2 represents 2 = 1 + 1
+    ("pif", "1", "1", "1", "10000"): (
+        "pi_f(10000) = 612  (Chebotarev main term 622.5460261)\n",
+        '{"schema": "bqf-sieve/1", "form": [1, 1, 1], "x": 10000.0, "y": null, '
+        '"count": 612, "chebotarev_main": 622.5460260596359}\n'),
+    ("pif", "1", "0", "1", "10000"): (
+        "pi_f(10000) = 610  (Chebotarev main term 622.5460261)\n",
+        '{"schema": "bqf-sieve/1", "form": [1, 0, 1], "x": 10000.0, "y": null, '
+        '"count": 610, "chebotarev_main": 622.5460260596359}\n'),
+    # D = 8 represents 2 = f(0, 1)
+    ("pif", "1", "0", "2", "5000"): (
+        "pi_f(5000) = 330  (Chebotarev main term 341.6178383)\n",
+        '{"schema": "bqf-sieve/1", "form": [1, 0, 2], "x": 5000.0, "y": null, '
+        '"count": 330, "chebotarev_main": 341.61783825218674}\n'),
+    ("pif", "2", "1", "3", "1e6", "--interval", "1e4"): (
+        "pi_f(1e+06) - pi_f(990000) = 249  (Chebotarev main term 241.3623674)\n",
+        '{"schema": "bqf-sieve/1", "form": [2, 1, 3], "x": 1000000.0, "y": 10000.0, '
+        '"count": 249, "chebotarev_main": 241.36236740798145}\n'),
     ("family", "--Q", "100"): (
         "family D <= 100: 50 members\n"
         "E-envelope violators: 50 (fraction 1)\n"

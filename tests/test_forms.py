@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bqfsieve.forms import (Form, delta_f, enumerate_class_set,
-                            fundamental_part, is_discriminant, is_primitive,
-                            is_reduced, reduce_form, reduced_forms_upto, scale_form,
-                            unit_count)
+                            fundamental_part, is_ambiguous, is_discriminant,
+                            is_primitive, is_reduced, reduce_form, reduced_forms_upto,
+                            scale_form, unit_count)
 
 
 def orbit_reduced_forms(f, depth=8):
@@ -177,6 +177,46 @@ def test_delta_f_reduced_characterization():
         for f in enumerate_class_set(D).reduced_forms:
             expect = 1 if (f.b == 0 or f.a == f.b or f.a == f.c) else 0.5
             assert delta_f(f) == expect, f
+
+
+def equivalent_to_opposite(f):
+    """Oracle, without reduction: f ~ f(u, -v) iff some proper representation
+    a = f(p, r), completed to M = (p q; r s) in SL2(Z), takes f to a form
+    (a, b', .) with b' = -b (mod 2a), which a translation u -> u + kv then
+    carries to (a, -b, c)."""
+    a, b, c, D = f.a, f.b, f.c, f.D
+    rmax = math.isqrt(4 * a * a // D)
+    for r in range(-rmax, rmax + 1):
+        S = 4 * a * a - D * r * r  # a p^2 + b r p + c r^2 = a: p = (-br +- sqrt S)/2a
+        root = math.isqrt(S)
+        if root * root != S:
+            continue
+        for num in (root - b * r, -root - b * r):
+            if num % (2 * a) or math.gcd(num // (2 * a), r) != 1:
+                continue
+            p = num // (2 * a)
+            s, q = next((s, (p * s - 1) // r) for s in range(abs(r) + 2)
+                        if (p * s - 1) % r == 0) if r else (p, 0)
+            if (2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s + b) % (2 * a) == 0:
+                return True
+    return False
+
+
+def test_is_ambiguous_against_equivalence_search():
+    # every reduced form with D < 400 and one properly equivalent, non-reduced
+    # form each, (a, b, c) -> (a + b + c, -b - 2a, a)
+    seen = {True: 0, False: 0}
+    for D in range(3, 400):
+        if not is_discriminant(D):
+            continue
+        for f in enumerate_class_set(D).reduced_forms:
+            g = Form(f.a + f.b + f.c, -f.b - 2 * f.a, f.a)
+            assert not is_reduced(g) and reduce_form(g) == f
+            for h in (f, g):
+                assert is_ambiguous(h) == equivalent_to_opposite(h), h
+            assert delta_f(f) == (1.0 if is_ambiguous(f) else 0.5)
+            seen[is_ambiguous(f)] += 1
+    assert seen[True] and seen[False]
 
 
 def test_scale_form():

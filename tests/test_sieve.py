@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bqfsieve import sieve
-from bqfsieve.arith import factorize, primes_upto
+from bqfsieve.arith import factorize, prime_table, primes_upto
 from bqfsieve.characters import char_profile
 from bqfsieve.forms import (Form, delta_f, enumerate_class_set, is_discriminant,
-                            is_reduced, reduced_forms_upto, unit_count)
-from bqfsieve.lattice import count_A, EllipseWindow, local_density_g, r_f
+                            is_reduced, reduce_form, reduced_forms_upto, unit_count)
+from bqfsieve.lattice import count_A, EllipseWindow, local_density_g, r_f, value_bitmap
 from bqfsieve.sieve import (SieveParams, count_almost_primes, full_range_x, pi_f,
                             pi_f_interval, selberg_system,
                             selberg_upper_bound, sifted_interval_count,
@@ -228,7 +228,7 @@ def test_pi_f_interval_rejects_y_outside_0_x():
 
 
 def test_pi_f_interval_matches_difference_of_pi_f():
-    # one bitmap, sliced at floor(x - y), against the two counts it replaced
+    # the interval count against the difference of two full counts
     rng = random.Random(11)
     forms = [Form(1, 0, 1), Form(2, 1, 3), Form(3, 2, 7)]
     while len(forms) < 16:
@@ -241,6 +241,39 @@ def test_pi_f_interval_matches_difference_of_pi_f():
         for x in (2, 3.5, rng.randint(2, 10**5), rng.uniform(2, 10**5)):
             for y in (0, x, x - 1, rng.uniform(0, x)):
                 assert pi_f_interval(f, x, y) == pi_f(f, x) - pi_f(f, x - y), (f, x, y)
+
+
+def test_pi_f_kernel_matches_the_value_bitmap():
+    # the gathered point count, divided by r = w (1 + [f ambiguous]) with the
+    # primes dividing 2D added back, against the represented primes read off
+    # value_bitmap & mask: every reduced form with D < 400 (D = 3 and 4
+    # included) and one non-reduced equivalent each
+    X = 20000
+    mask = prime_table(X)[: X + 1]
+    cases = [(x, x) for x in (2, 3, 5, 50, 997, X)] + [(X, 3000), (997, 1), (50, 47)]
+    two, ramified = set(), 0
+    for D in range(3, 400):
+        if not is_discriminant(D):
+            continue
+        for f in enumerate_class_set(D).reduced_forms:
+            below = np.concatenate(([0], np.cumsum(value_bitmap(f, X) & mask)))
+            g = Form(f.a + f.b + f.c, -f.b - 2 * f.a, f.a)
+            assert not is_reduced(g) and reduce_form(g) == f
+            for x, y in cases:
+                want = int(below[x + 1] - below[x - y + 1])
+                assert pi_f_interval(f, x, y) == pi_f_interval(g, x, y) == want, (f, x, y)
+            if r_f(f, 2):
+                two.add(D % 2)
+            ramified += sum(1 for p, _ in factorize(D).factors if p > 2 and r_f(f, p))
+    assert two == {0, 1} and ramified
+
+
+def test_pi_f_refuses_a_count_that_r_does_not_divide(monkeypatch):
+    # 11 odd primes p <= 100 with r_f(p) = 8 on x^2 + y^2: 88 points, not a
+    # multiple of 2 * 3
+    monkeypatch.setattr(sieve, "unit_count", lambda D: 3)
+    with pytest.raises(RuntimeError, match="do not divide by r = 6"):
+        pi_f(Form(1, 0, 1), 100)
 
 
 def test_selberg_rejects_bad_ranges():
@@ -358,6 +391,8 @@ def test_sieve_refuses_x_above_the_mask_cap_before_any_window():
     try:
         with pytest.raises(ValueError, match="prime mask limited to 2e8"):
             selberg_upper_bound(params)
+        with pytest.raises(ValueError, match="prime mask limited to 2e8"):
+            pi_f(Form(1, 1, 1), 1e12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

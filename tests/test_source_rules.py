@@ -4,7 +4,9 @@ run as code (rules are parsed and walked, never evaluated), and no handler
 swallows every exception (a bare `except:` also catches KeyboardInterrupt
 and a worker's SystemExit).  Work is spread over processes in one place,
 `arith.worker_map`, so no other module names ProcessPoolExecutor, and the
-job count is an argument, so nothing reads the environment."""
+job count is an argument, so nothing reads the environment.  The value
+bitmap serves the almost-prime count alone: pi_f gathers from the prime
+mask and divides by the representation number, with no bitmap."""
 
 import ast
 from pathlib import Path
@@ -14,12 +16,15 @@ import bqfsieve
 SRC = Path(bqfsieve.__file__).resolve().parent
 CODE_RUNNERS = {"eval", "exec", "compile"}
 POOL_MODULE = "arith.py"
+BITMAP_CALLER = "count_almost_primes"
 
 
 def _violations(path: Path) -> list[str]:
     out = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+    tree = ast.parse(path.read_text(), str(path))
+    owner = _enclosing_functions(tree)
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
         if isinstance(node, ast.Assert):
             out.append(f"{where}: assert statement")
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -32,7 +37,21 @@ def _violations(path: Path) -> list[str]:
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id == "os" and node.attr in ("environ", "getenv")):
             out.append(f"{where}: environment read")
-    return out
+        elif (isinstance(node, ast.Call) and "value_bitmap" in _names(node.func)
+              and owner.get(node) != BITMAP_CALLER):
+            out.append(f"{where}: value_bitmap outside {BITMAP_CALLER}")
+    return sorted(out, key=lambda v: int(v.split(":")[1]))  # in source order
+
+
+def _enclosing_functions(tree: ast.AST) -> dict[ast.AST, str]:
+    # the name of the innermost function around each node; ast.walk meets an
+    # outer def before the defs inside it, so those overwrite its entries
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[node] = fn.name
+    return owner
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -60,8 +79,13 @@ def test_rules_catch_each_pattern(tmp_path):
                     "try:\n    pass\nexcept:\n    pass\nre.compile('a')\n"
                     "from concurrent.futures import ProcessPoolExecutor\n"
                     "concurrent.futures.ProcessPoolExecutor(2)\n"
-                    "os.environ.get('BQF_THREADS')\nos.getenv('BQF_THREADS')\n")
+                    "os.environ.get('BQF_THREADS')\nos.getenv('BQF_THREADS')\n"
+                    "value_bitmap(f, x)\n"
+                    "def count_almost_primes():\n    value_bitmap(f, x)\n"
+                    "def pi_f():\n    lattice.value_bitmap(f, x)\n")
     assert [v.split(": ", 1)[1] for v in _violations(path)] == [
         "assert statement", "call to eval", "call to exec", "call to compile",
         "bare except", "process pool outside arith.py",
-        "process pool outside arith.py", "environment read", "environment read"]
+        "process pool outside arith.py", "environment read", "environment read",
+        "value_bitmap outside count_almost_primes",
+        "value_bitmap outside count_almost_primes"]
