@@ -39,7 +39,7 @@ def main():
     # ROADMAP item 4 settles delta_f
     scaled = sorted(r.exact_count * r.h * math.log(r.x) / (r.delta_f * r.x)
                     for r in rows)
-    sieve_bad = sum(1 for r in rows if r.sieve_valid is False)
+    sieve_bad = sum(1 for r in rows if not r.upper_bound >= r.sifted_count)
     q = lambda v, p: v[min(int(p * len(v)), len(v) - 1)] if v else float("nan")
     print(f"rows: {res.summary.total} ({len(rows)} in range, "
           f"{res.summary.not_applicable} capped)")

@@ -4,7 +4,7 @@ Selberg-sieve upper bound, with desk-scale verification sweeps."""
 
 __version__ = "0.1.0"
 
-from .arith import Factorization, factorize, kronecker, mult_functions, sieve_primes
+from .arith import factorize, kronecker, mult_functions, sieve_primes
 from .forms import (Form, FormClassSet, ScaledForm, delta_f, enumerate_class_set,
                     is_primitive, reduce_form, scale_form)
 from .lattice import (CongruenceCount, EllipseWindow, count_A, count_congruence,
@@ -14,6 +14,6 @@ from .characters import (CharacterProfile, ErrorFunctionals, L_values,
                          average_exceptional_report, char_prefix_sums,
                          error_functionals, family, sum_local_densities,
                          weighted_dirichlet_sums)
-from .sieve import (SieveParams, SieveReport, count_almost_primes, pi_f,
+from .sieve import (SieveReport, count_almost_primes, pi_f, pinned_z,
                     selberg_upper_bound, sifted_interval_count, theorem_rhs)
 from .sweeps import SweepConfig, SweepRecord, run_sweep

@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "CellMemo",
-    "Factorization",
     "MultValues",
     "kronecker",
     "sieve_primes",
@@ -216,24 +215,10 @@ def kronecker(m: int, n: int) -> int:
     return k if n == 1 else 0
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """n = prod p^e with primes strictly ascending."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prod = 1
-        for p, e in self.factors:
-            prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"inconsistent factorization of {self.n}")
-
-
 @lru_cache(maxsize=1 << 12)
-def factorize(n: int) -> Factorization:
-    """Trial division against the cached prime table; exact for any n >= 1.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """n = prod p^e as the pairs (p, e), p strictly ascending: trial division
+    against the cached prime table, exact for any n >= 1.
 
     Adequate at desk scale (n up to ~1e12 worst case); swap in Pollard rho
     if the table-bounded trial division ever becomes the bottleneck.
@@ -258,7 +243,7 @@ def factorize(n: int) -> Factorization:
             factors.append((p, e))
     if rem > 1:
         factors.append((rem, 1))
-    return Factorization(n=n, factors=tuple(factors))
+    return tuple(factors)
 
 
 @dataclass(frozen=True)
@@ -273,10 +258,9 @@ class MultValues:
 @lru_cache(maxsize=1 << 12)
 def mult_functions(n: int) -> MultValues:
     """mu, phi, tau, tau_3 and squarefreeness of n, exactly."""
-    fac = factorize(n)
     mu, phi, tau, tau3 = 1, 1, 1, 1
     squarefree = True
-    for p, e in fac.factors:
+    for p, e in factorize(n):
         phi *= p ** (e - 1) * (p - 1)
         tau *= e + 1
         tau3 *= (e + 1) * (e + 2) // 2
@@ -290,9 +274,8 @@ def mult_functions(n: int) -> MultValues:
 
 def divisors(n: int) -> list[int]:
     """Ascending list of divisors of n."""
-    fac = factorize(n)
     divs = [1]
-    for p, e in fac.factors:
+    for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 

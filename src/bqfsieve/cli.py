@@ -28,7 +28,7 @@ from .characters import average_exceptional_report
 from .forms import (Form, delta_f, enumerate_class_set, is_primitive, reduce_form,
                     unit_count)
 from .lattice import EllipseWindow, count_congruence, local_density_report
-from .sieve import SieveParams, pi_f, pi_f_interval, selberg_upper_bound
+from .sieve import pi_f, pi_f_interval, pinned_z, selberg_upper_bound, theorem_rhs
 from .sweeps import SweepConfig, SweepRecord, run_sweep
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED = 0, 2, 3
@@ -121,28 +121,31 @@ def cmd_pif(args) -> int:
 def cmd_sieve(args) -> int:
     f = Form(args.a, args.b, args.c)
     y = args.y if args.y is not None else args.x
-    params = SieveParams.of(f, args.x, y, phi_mode=args.phi, epsilon=args.epsilon)
-    rep = selberg_upper_bound(params)
+    # every check before any array: the theorem's (h(-D) refuses a D above
+    # D_MAX) and the sieve's ranges, then pi_f's row and mask caps, then the
+    # sieve's windows
+    tb = theorem_rhs(f, args.x, y, args.phi, args.epsilon)
+    z = pinned_z(f, args.x, y)
+    exact = pi_f_interval(f, args.x, y)
+    rep = selberg_upper_bound(f, args.x, y, z)
     doc = {
         "form": f.triple(), "x": args.x, "y": y,
-        "z": params.z, "J": rep.J, "script_J": rep.script_J,
+        "z": z, "J": rep.J, "script_J": rep.script_J,
         "main_term": rep.main_term, "remainder_majorized": rep.remainder_majorized,
         "remainder_signed": rep.remainder_signed, "upper_bound": rep.upper_bound,
-        "sifted_count": rep.sifted_count,
-        "exact_interval_count": rep.exact_interval_count,
-        "theta": rep.theta, "theta_prime": rep.theta_prime,
-        "rhs_theorem": rep.rhs_theorem,
+        "sifted_count": rep.sifted_count, "exact_interval_count": exact,
+        "theta": tb.theta, "theta_prime": tb.theta_prime, "rhs_theorem": tb.rhs,
         "degenerate_L_branch": rep.degenerate_L_branch,
         "conditional": args.phi == 0,
     }
     tag = " [conditional: GRH for chi_{-D}]" if args.phi == 0 else ""
     lines = ["z = %s  J = %s  scriptJ = %s%s"
-             % (_fmt(params.z), _fmt(rep.J), _fmt(rep.script_J), tag),
+             % (_fmt(z), _fmt(rep.J), _fmt(rep.script_J), tag),
              "main = %s  remainder = %s  upper_bound = %s"
              % (_fmt(rep.main_term), _fmt(rep.remainder_majorized),
                 _fmt(rep.upper_bound)),
              "sifted = %d  primes in interval = %d  rhs = %s"
-             % (rep.sifted_count, rep.exact_interval_count, _fmt(rep.rhs_theorem)),
+             % (rep.sifted_count, exact, _fmt(tb.rhs)),
              "sieve bound valid: %s" % _fmt(rep.upper_bound >= rep.sifted_count)]
     _emit(args, doc, "\n".join(lines))
     if rep.degenerate_L_branch:

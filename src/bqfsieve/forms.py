@@ -240,7 +240,7 @@ def fundamental_part(D: int) -> tuple[int, int]:
     if not is_discriminant(D):
         raise ValueError(f"-{D} is not a discriminant")
     d0, k = 1, 1
-    for p, e in factorize(D).factors:
+    for p, e in factorize(D):
         d0 *= p ** (e % 2)
         k *= p ** (e // 2)
     return (d0, k) if d0 % 4 == 3 else (4 * d0, k // 2)

@@ -275,7 +275,7 @@ def root_set(f: Form, ell: int) -> tuple[int, ...]:
     _require_squarefree(ell)
     if ell == 1:
         return (0,)
-    factors = [p for p, _ in factorize(ell).factors]
+    factors = [p for p, _ in factorize(ell)]
     roots = [0]
     mod = 1
     for p in factors:
@@ -362,7 +362,7 @@ def _local_density_g(D: int, ell: int) -> Fraction:
     # g depends on f only through chi = chi_{-D}
     _require_squarefree(ell)
     g = Fraction(1)
-    for p, _ in factorize(ell).factors:
+    for p, _ in factorize(ell):
         chi = kronecker(-D, p)
         g *= Fraction(p + chi * p - chi, p * p)
     return g

@@ -13,10 +13,11 @@ identically and |lambda_d| <= 1 is checked, which is what makes the final
 bound an honest inequality between computed numbers).  Remainders r_l come
 from exact lattice counts, never from the error envelope.
 
-The sifting parameter z = (a/(Dx))^(1/4) y^(1/2) (log y)^(-7) + 1; at desk
-scale the (log y)^7 factor keeps z barely above 1, so the system is usually
-the degenerate l = 1 one and the bound reduces to 2 pi y / sqrt(D) plus the
-exact remainder, and the sifted count is the l = 1 interval count itself.
+The pinned sifting parameter is z = (a/(Dx))^(1/4) y^(1/2) (log y)^(-7) + 1
+(`pinned_z`); at desk scale the (log y)^7 factor keeps z barely above 1, so
+the system is usually the degenerate l = 1 one and the bound reduces to
+2 pi y / sqrt(D) plus the exact remainder, and the sifted count is the l = 1
+interval count itself.
 The machinery is exercised at larger z by the tests.
 
 pi_f needs no table of represented values.  A prime p not dividing D has
@@ -29,9 +30,13 @@ serves only the almost-prime count, which needs Omega of every value.
 
 Primes, the prime mask and Omega come from the one table in `arith` (grown to
 max(request, 2 x current), capped at MASK_CAP); this module keeps none.
-A report computes script_J and its degenerate-L branch only when they are read
-(`bqf sieve` reads them, a sweep row does not), and takes h(-D) from a caller
-that has it; h = None counts it with `enumerate_class_set`.
+The sieve and the theorem it proves stay apart: a `SieveReport` holds the
+sieve's values alone, `pi_f_interval` counts the primes, and `theorem_rhs`
+gives theta, theta' and the right-hand side, the one place that picks the
+short-interval bound (y < x) or the full-range one.  `theorem_rhs` takes h(-D)
+from a caller that has it; h = None counts it with `enumerate_class_set`.  A
+report computes script_J and its degenerate-L branch only when they are read
+(`bqf sieve` reads them, a sweep row does not).
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from .lattice import (EllipseWindow, _row_span, _row_values, count_A_ell,
                       count_odd_points, local_density_g, r_f, value_bitmap)
 
 __all__ = [
-    "SieveParams",
     "SieveReport",
     "TheoremBounds",
     "pi_f",
@@ -61,6 +65,7 @@ __all__ = [
     "selberg_upper_bound",
     "selberg_system",
     "theorem_rhs",
+    "pinned_z",
     "full_range_x", "interval_min_y", "almost_range_x", "almost_rhs",
     "count_almost_primes",
 ]
@@ -93,11 +98,12 @@ def pi_f_interval(f: Form, x, y) -> int:
     if X < 2:
         return 0
     low = math.floor(x - y)
-    mask = prime_table(X)  # first: an x above the cap fails before any array
-    points = count_odd_points(f, X, low, mask[1::2])
     g = reduce_form(f)
+    _row_span(g, X)  # the row cap, then the mask cap, before any array
+    mask = prime_table(X)
+    points = count_odd_points(f, X, low, mask[1::2])
     count = 0
-    for p in {2, *(p for p, _ in factorize(f.D).factors)}:
+    for p in {2, *(p for p, _ in factorize(f.D))}:
         if low < p <= X:
             rp = r_f(g, p)
             if p > 2:
@@ -180,37 +186,31 @@ def selberg_system(f: Form, z: float) -> SelbergSystem:
     return _system_cached(f, float(z))
 
 
-@dataclass(frozen=True)
-class SieveParams:
-    """Run parameters; z is pinned to (a/(Dx))^(1/4) y^(1/2) (log y)^(-7) + 1."""
+def _check_sieve_range(f: Form, x, y) -> None:
+    if not is_reduced(f) or not is_primitive(f):
+        raise ValueError("selberg sieve expects a reduced primitive form")
+    if x < f.D / f.a:
+        raise ValueError("need x >= D/a")
+    if not math.sqrt(f.a * x) <= y <= x:
+        raise ValueError("need (ax)^(1/2) <= y <= x")
 
-    f: Form
-    x: float
-    y: float
-    phi_mode: float
-    epsilon: float
-    z: float
 
-    @classmethod
-    def of(cls, f: Form, x, y, phi_mode: float = 0.25,
-           epsilon: float = 0.2) -> "SieveParams":
-        if phi_mode not in (0, 0.25):
-            raise ValueError("phi_mode must be 0 or 0.25")
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
-        if not 1 < y <= x:
-            raise ValueError("need 1 < y <= x")
-        z = (f.a / (f.D * x)) ** 0.25 * math.sqrt(y) * math.log(y) ** -7 + 1
-        return cls(f=f, x=float(x), y=float(y), phi_mode=phi_mode,
-                   epsilon=epsilon, z=z)
+def pinned_z(f: Form, x, y) -> float:
+    """The theorem's sifting parameter z = (a/(Dx))^(1/4) y^(1/2) (log y)^(-7) + 1.
+
+    Like `selberg_upper_bound`, it refuses a form that is not reduced and
+    primitive, and x and y outside the sieve's range x >= D/a,
+    (ax)^(1/2) <= y <= x, so a caller can check them before it counts.
+    """
+    _check_sieve_range(f, x, y)
+    return (f.a / (f.D * x)) ** 0.25 * math.sqrt(y) * math.log(y) ** -7 + 1
 
 
 @dataclass(frozen=True)
 class TheoremBounds:
     theta: float
     theta_prime: float
-    rhs_full: float
-    rhs_interval: float
+    rhs: float
 
 
 def _pow(base: float, exp: float) -> float:
@@ -245,16 +245,19 @@ def almost_rhs(D: int, x) -> float:
 
 def theorem_rhs(f: Form, x, y, phi_mode: float, epsilon: float,
                 h: int | None = None) -> TheoremBounds:
-    """theta, theta', and the two Brun-Titchmarsh right-hand sides.
+    """theta, theta' and the theorem's Brun-Titchmarsh right-hand side at x, y.
 
-    rhs_full = 4/(1-theta) delta_f x / (h(-D) log x) for the full range,
-    rhs_interval = 2/(1-theta') delta_f y / (h(-D) log y) for the short interval;
-    a vacuous bound (theta >= 1) is reported as nan.  h = None counts h(-D).
+    rhs is the short-interval bound 2/(1-theta') delta_f y / (h(-D) log y) when
+    y < x and the full-range bound 4/(1-theta) delta_f x / (h(-D) log x) when
+    y = x; a vacuous bound (theta or theta' >= 1) is nan.  h = None counts h(-D),
+    which refuses a D above D_MAX.
     """
     if not is_reduced(f) or not is_primitive(f):
         raise ValueError("theorem_rhs expects a reduced primitive form")
     if phi_mode not in (0, 0.25):
         raise ValueError("phi_mode must be 0 or 0.25")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if not 1 < y <= x:
         raise ValueError("need 1 < y <= x")
     D, a = f.D, f.a
@@ -264,57 +267,48 @@ def theorem_rhs(f: Form, x, y, phi_mode: float, epsilon: float,
     theta_p = lx / (2 * ly) + (0.5 + phi + epsilon / 4) * lD / ly - la / (2 * ly)
     h = enumerate_class_set(D).h if h is None else h
     delta = delta_f(f)
-    rhs_f = 4 / (1 - theta) * delta * x / (h * lx) if theta < 1 else math.nan
-    rhs_i = 2 / (1 - theta_p) * delta * y / (h * ly) if theta_p < 1 else math.nan
-    return TheoremBounds(theta=theta, theta_prime=theta_p, rhs_full=rhs_f,
-                         rhs_interval=rhs_i)
+    if y < x:
+        rhs = 2 / (1 - theta_p) * delta * y / (h * ly) if theta_p < 1 else math.nan
+    else:
+        rhs = 4 / (1 - theta) * delta * x / (h * lx) if theta < 1 else math.nan
+    return TheoremBounds(theta=theta, theta_prime=theta_p, rhs=rhs)
 
 
 @dataclass(frozen=True)
 class SieveReport:
-    params: SieveParams
+    f: Form
+    y: float
+    z: float
     J: float
     main_term: float
     remainder_majorized: float
     remainder_signed: float
     upper_bound: float
     sifted_count: int
-    exact_interval_count: int
-    theta: float
-    theta_prime: float
-    rhs_theorem: float
 
     @cached_property
     def degenerate_L_branch(self) -> bool:
-        return L_values(self.params.f.D).L1 < math.log(self.params.y) ** -2
+        return L_values(self.f.D).L1 < math.log(self.y) ** -2
 
     @cached_property
     def script_J(self) -> float:
-        f, y, z = self.params.f, self.params.y, self.params.z
         if self.degenerate_L_branch:
-            return math.log(y) ** 2
-        return sum_local_densities(f, z).sum / L_values(f.D).L1
+            return math.log(self.y) ** 2
+        return sum_local_densities(self.f, self.z).sum / L_values(self.f.D).L1
 
 
-def selberg_upper_bound(params: SieveParams, h: int | None = None) -> SieveReport:
-    """Run the sieve at the pinned z with exact remainders.
+def selberg_upper_bound(f: Form, x, y, z: float) -> SieveReport:
+    """Run the sieve on (x - y, x] at sifting parameter z with exact remainders.
 
     upper_bound = (2 pi y / sqrt(D)) / J + sum_{l | P(z), l < z^2} tau_3(l) |r_l|
     with r_l = |A_l(x)| - |A_l(x-y)| - g(l) 2 pi y / sqrt(D) from exact lattice
     counts, so upper_bound >= sifted_count is an inequality between computed
-    numbers, not an asymptotic claim.
+    numbers, not an asymptotic claim.  The report holds the sieve's values
+    alone: pi_f and the theorem's bound are `pi_f_interval` and `theorem_rhs`.
     """
-    f, x, y = params.f, params.x, params.y
-    if not is_reduced(f) or not is_primitive(f):
-        raise ValueError("selberg sieve expects a reduced primitive form")
-    if x < f.D / f.a:
-        raise ValueError("need x >= D/a")
-    if not math.sqrt(f.a * x) <= y <= x:
-        raise ValueError("need (ax)^(1/2) <= y <= x")
-    # the window's row cap, then the mask cap (in pi_f_interval), before any array
-    _row_span(f, math.floor(x))
-    exact_primes = pi_f_interval(f, x, y)
-    sys = selberg_system(f, params.z)
+    _check_sieve_range(f, x, y)
+    _row_span(f, math.floor(x))  # the window's row cap, before any array
+    sys = selberg_system(f, z)
     main_density = 2 * math.pi * y / math.sqrt(f.D)
     J = float(sys.J)
     main = main_density / J
@@ -331,14 +325,10 @@ def selberg_upper_bound(params: SieveParams, h: int | None = None) -> SieveRepor
         rem_maj += mult_functions(ell).tau3 * abs(r_ell)
         rem_signed += float(sys.cross_coeff[ell]) * r_ell
     if sifted is None:
-        sifted = sifted_interval_count(f, x, y, params.z)
-    tb = theorem_rhs(f, x, y, params.phi_mode, params.epsilon, h)
-    rhs = tb.rhs_interval if y < x else tb.rhs_full
-    return SieveReport(params=params, J=J, main_term=main,
-                       remainder_majorized=rem_maj, remainder_signed=rem_signed,
-                       upper_bound=main + rem_maj, sifted_count=sifted,
-                       exact_interval_count=exact_primes, theta=tb.theta,
-                       theta_prime=tb.theta_prime, rhs_theorem=rhs)
+        sifted = sifted_interval_count(f, x, y, z)
+    return SieveReport(f=f, y=y, z=z, J=J, main_term=main, remainder_majorized=rem_maj,
+                       remainder_signed=rem_signed, upper_bound=main + rem_maj,
+                       sifted_count=sifted)
 
 
 def count_almost_primes(f: Form, x, k: int) -> int:

@@ -36,8 +36,9 @@ from functools import lru_cache, partial
 
 from .arith import JOBS_MAX, MASK_CAP, prime_table, worker_map
 from .forms import Q_MAX, Form, delta_f, reduced_forms_upto
-from .sieve import (SieveParams, almost_range_x, almost_rhs, count_almost_primes,
-                    full_range_x, interval_min_y, selberg_upper_bound)
+from .sieve import (almost_range_x, almost_rhs, count_almost_primes, full_range_x,
+                    interval_min_y, pi_f_interval, pinned_z, selberg_upper_bound,
+                    theorem_rhs)
 
 __all__ = ["SweepConfig", "SweepRecord", "SweepSummary", "SweepResult",
            "RuleError", "run_sweep", "build_tasks", "eval_rule"]
@@ -154,7 +155,6 @@ class SweepRecord:
     pass_: str = "na"                 # "1" | "0" | "na" | "skipped"
     runtime_ms: int | None = None
     sifted_count: int | None = None
-    sieve_valid: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -216,16 +216,14 @@ def _run_row(cfg: SweepConfig, row: SweepRecord) -> SweepRecord:
         counts = dict(pass_="1" if exact >= rhs else "0",
                       exact_count=exact, rhs_theorem=rhs)
     else:
-        params = SieveParams.of(f, row.x, row.y, phi_mode=cfg.phi_mode,
-                                epsilon=cfg.epsilon)
-        rep = selberg_upper_bound(params, row.h)
-        ok = rep.exact_interval_count < rep.rhs_theorem
-        theta = rep.theta_prime if cfg.mode == "interval" else rep.theta
-        counts = dict(pass_="1" if ok else "0", z=params.z,
-                      exact_count=rep.exact_interval_count, upper_bound=rep.upper_bound,
-                      rhs_theorem=rep.rhs_theorem, theta_or_theta_prime=theta,
-                      sifted_count=rep.sifted_count,
-                      sieve_valid=rep.upper_bound >= rep.sifted_count)
+        rep = selberg_upper_bound(f, row.x, row.y, pinned_z(f, row.x, row.y))
+        exact = pi_f_interval(f, row.x, row.y)
+        tb = theorem_rhs(f, row.x, row.y, cfg.phi_mode, cfg.epsilon, row.h)
+        theta = tb.theta_prime if cfg.mode == "interval" else tb.theta
+        counts = dict(pass_="1" if exact < tb.rhs else "0", z=rep.z,
+                      exact_count=exact, upper_bound=rep.upper_bound,
+                      rhs_theorem=tb.rhs, theta_or_theta_prime=theta,
+                      sifted_count=rep.sifted_count)
     return replace(row, runtime_ms=int((time.perf_counter() - start) * 1000), **counts)
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bqfsieve import arith
-from bqfsieve.arith import (CellMemo, Factorization, big_omega_upto, divisors, factorize,
-                            is_prime, kronecker, mult_functions, prime_table,
-                            primes_upto, sieve_primes, spf_upto)
+from bqfsieve.arith import (CellMemo, big_omega_upto, divisors, factorize, is_prime,
+                            kronecker, mult_functions, prime_table, primes_upto,
+                            sieve_primes, spf_upto)
 
 
 def brute_is_square_mod(m, p):
@@ -81,12 +81,12 @@ def test_prime_table_membership():
 
 
 def test_factorize_examples():
-    assert factorize(12).factors == ((2, 2), (3, 1))
-    assert factorize(1).factors == ()
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(1) == ()
     first8 = (2, 3, 5, 7, 11, 13, 17, 19)
     n = math.prod(first8)
     assert n == 9699690
-    assert factorize(n).factors == tuple((p, 1) for p in first8)
+    assert factorize(n) == tuple((p, 1) for p in first8)
 
 
 def test_factorize_rejects_nonpositive():
@@ -94,16 +94,11 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
 
 
-def test_factorization_consistency_guard():
-    with pytest.raises(ValueError):
-        Factorization(n=10, factors=((2, 1), (3, 1)))
-
-
 @given(st.integers(1, 10**6))
 def test_factorize_roundtrip(n):
     fac = factorize(n)
-    assert math.prod(p**e for p, e in fac.factors) == n
-    ps = [p for p, _ in fac.factors]
+    assert math.prod(p**e for p, e in fac) == n
+    ps = [p for p, _ in fac]
     assert ps == sorted(ps) and len(set(ps)) == len(ps)
 
 
@@ -153,9 +148,9 @@ def test_factorize_beyond_the_trial_table():
     # odd q; both factors here lie above 2^22
     p = next(q for q in range(2**22 + 1, 2**23, 2) if is_prime(q))
     q = next(r for r in range(p + 2, 2**23, 2) if is_prime(r))
-    assert factorize(p * q).factors == ((p, 1), (q, 1))
-    assert factorize(p * p).factors == ((p, 2),)
-    assert factorize(2 * p * q).factors == ((2, 1), (p, 1), (q, 1))
+    assert factorize(p * q) == ((p, 1), (q, 1))
+    assert factorize(p * p) == ((p, 2),)
+    assert factorize(2 * p * q) == ((2, 1), (p, 1), (q, 1))
 
 
 # --- the shared prime table ------------------------------------------------
@@ -178,7 +173,7 @@ def fresh_tables(monkeypatch):
 
 
 def uncached_factors(n):
-    return factorize.__wrapped__(n).factors
+    return factorize.__wrapped__(n)
 
 
 def test_mask_against_miller_rabin(fresh_tables):
@@ -234,7 +229,7 @@ def test_tables_hold_python_ints_and_read_only_arrays(fresh_tables):
     ps = primes_upto(1000)
     assert ps == np.flatnonzero(sieve_primes(1000)).tolist() and len(ps) == 168
     assert all(type(p) is int for p in ps)
-    assert all(type(p) is int for p, _ in factorize(2**3 * 3 * 999983).factors)
+    assert all(type(p) is int for p, _ in factorize(2**3 * 3 * 999983))
     assert primes_upto(1) == [] and primes_upto(2) == [2]
     arrays = (prime_table(100), sieve_primes(100), spf_upto(100),
               arith._spf_block(50, 100), big_omega_upto(100))

@@ -536,7 +536,7 @@ def test_run_sweep_records_sorted_and_flagged():
         if r.pass_ == "na":
             assert r.exact_count is None and r.rhs_theorem is None
         elif r.pass_ in ("0", "1"):
-            assert r.sieve_valid is True
+            assert r.upper_bound >= r.sifted_count
             assert (r.pass_ == "1") == (r.exact_count < r.rhs_theorem)
 
 
@@ -622,9 +622,9 @@ def test_memory_sized_inputs_exit_2_before_allocating(capsys, monkeypatch, argv,
     import tracemalloc
 
     monkeypatch.setattr(characters, "_chi_period", _refuse)
-    # pif and sieve are guarded by the patch above, untraced: the sieve counts
-    # primes up to x before it needs h, and a traced O(D) class enumeration
-    # behind a regressed check would run for minutes
+    # pif and sieve are guarded by the patch above, untraced: a traced O(D)
+    # class enumeration behind a regressed check would run for minutes
+    # (`test_sieve_refuses_before_any_count` traces the sieve)
     if argv[0] in ("family", "classgroup"):
         tracemalloc.start()
     try:
@@ -638,7 +638,8 @@ def test_memory_sized_inputs_exit_2_before_allocating(capsys, monkeypatch, argv,
 
 
 # f <= 1e17 spans 730,296,743 window rows (about 50 GiB of kernel arrays): the
-# child refuses an address space above 2 GiB, so a regressed check fails there
+# child refuses an address space above 2 GiB, so a regressed check fails there,
+# and prints its tracemalloc peak
 _WINDOW_CHILD = """
 import resource, sys, tracemalloc
 resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
@@ -650,15 +651,32 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("command", ["count", "sieve"])
-def test_memory_sized_window_exits_2_before_allocating(command):
+def _run_child(*argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", _WINDOW_CHILD, command, "1", "1", "1",
-                           "1e17"], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-c", _WINDOW_CHILD, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("command", ["count", "pif", "sieve"])
+def test_memory_sized_window_exits_2_before_allocating(command):
+    proc = _run_child(command, "1", "1", "1", "1e17")
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
     assert "window too large" in proc.stderr and "730296743 rows" in proc.stderr
+    assert int(proc.stdout) < 1 << 20
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("1", "1", "3000000", "2e8"), "exceeds D_MAX"),  # D = 11,999,999
+    (("1", "0", "1", "1e8", "--y", "5"), "need (ax)^(1/2) <= y <= x"),
+], ids=["D", "y"])
+def test_sieve_refuses_before_any_count(argv, message):
+    # the theorem's and the sieve's checks come before the pi_f count and its
+    # x-sized prime mask (200 MB at x = 2e8)
+    proc = _run_child("sieve", *argv)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert message in proc.stderr
     assert int(proc.stdout) < 1 << 20
 
 

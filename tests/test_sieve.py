@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import math
 import random
@@ -16,10 +15,9 @@ from bqfsieve.characters import char_profile
 from bqfsieve.forms import (Form, delta_f, enumerate_class_set, is_discriminant,
                             is_reduced, reduce_form, reduced_forms_upto, unit_count)
 from bqfsieve.lattice import count_A, EllipseWindow, local_density_g, r_f, value_bitmap
-from bqfsieve.sieve import (SieveParams, count_almost_primes, full_range_x, pi_f,
-                            pi_f_interval, selberg_system,
-                            selberg_upper_bound, sifted_interval_count,
-                            theorem_rhs)
+from bqfsieve.sieve import (count_almost_primes, full_range_x, pi_f, pi_f_interval,
+                            pinned_z, selberg_system, selberg_upper_bound,
+                            sifted_interval_count, theorem_rhs)
 from bqfsieve.sweeps import SweepConfig, run_sweep
 
 
@@ -120,8 +118,7 @@ def test_selberg_upper_bound_dominates_sifted_at_forced_z():
             for (x, y) in ((500, 500), (2000, 1000), (10**4, 10**4)):
                 if y < math.sqrt(f.a * x):
                     continue
-                params = dataclasses.replace(SieveParams.of(f, x, y), z=z)
-                rep = selberg_upper_bound(params)
+                rep = selberg_upper_bound(f, x, y, z)
                 assert rep.upper_bound >= rep.sifted_count, (f, z, x, y)
                 assert rep.main_term + rep.remainder_signed >= rep.sifted_count
                 assert rep.remainder_majorized >= abs(rep.remainder_signed) - 1e-9
@@ -129,9 +126,9 @@ def test_selberg_upper_bound_dominates_sifted_at_forced_z():
 
 def test_selberg_degenerate_z_is_trivial_bound():
     f = Form(1, 0, 1)
-    params = SieveParams.of(f, 10**4, 10**4)
-    assert params.z < 2  # the (log y)^7 damping keeps z near 1 at desk scale
-    rep = selberg_upper_bound(params)
+    z = pinned_z(f, 10**4, 10**4)
+    assert z < 2  # the (log y)^7 damping keeps z near 1 at desk scale
+    rep = selberg_upper_bound(f, 10**4, 10**4, z)
     assert rep.J == 1.0
     assert abs(rep.main_term - 2 * math.pi * 10**4 / 2) < 1e-9
     assert rep.upper_bound >= rep.sifted_count
@@ -145,13 +142,11 @@ def test_sifted_count_equals_general_path():
         for (x, y) in ((500, 500), (2000, 1000), (7777.5, 3000.25), (10**4, 10**4)):
             if y < math.sqrt(f.a * x) or x < f.D / f.a:
                 continue
-            pinned = SieveParams.of(f, x, y)
-            assert pinned.z < 2
-            for params in [pinned] + [dataclasses.replace(pinned, z=z)
-                                      for z in (1.5, 2.0, 3.0, 7.5)]:
-                rep = selberg_upper_bound(params)
-                assert rep.sifted_count == sifted_interval_count(f, x, y, params.z), (
-                    f, x, y, params.z)
+            pinned = pinned_z(f, x, y)
+            assert pinned < 2
+            for z in (pinned, 1.5, 2.0, 3.0, 7.5):
+                rep = selberg_upper_bound(f, x, y, z)
+                assert rep.sifted_count == sifted_interval_count(f, x, y, z), (f, x, y, z)
 
 
 def test_selberg_weight_check_raises(monkeypatch):
@@ -165,8 +160,7 @@ def test_selberg_weight_check_raises(monkeypatch):
 def test_selberg_degenerate_L_branch():
     # tiny y makes (log y)^-2 exceed L(1,chi) and flips script_J to (log y)^2
     f = Form(1, 1, 1)
-    params = SieveParams.of(f, 3, 2)
-    rep = selberg_upper_bound(params)
+    rep = selberg_upper_bound(f, 3, 2, pinned_z(f, 3, 2))
     assert rep.degenerate_L_branch
     assert rep.script_J == math.log(2) ** 2
 
@@ -197,12 +191,14 @@ def test_sweep_row_reads_no_L_values_and_counts_no_class_number(monkeypatch):
     assert sum(calls.values()) == 0, calls
     # the spies see the calls of a report that is read, and of theorem_rhs
     # without h, so the zero above is not a spy that missed them
-    rep = selberg_upper_bound(SieveParams.of(Form(2, 1, 3), 10**5, 2 * 10**4))
+    f, x, y = Form(2, 1, 3), 10**5, 2 * 10**4
+    rep = selberg_upper_bound(f, x, y, pinned_z(f, x, y))
     assert rep.script_J > 0 and not rep.degenerate_L_branch
     assert calls["characters.L_values"] >= 1
     assert calls["characters.sum_local_densities"] == 1
-    theorem_rhs(Form(2, 1, 3), 10**5, 10**5, 0.25, 0.2)
-    assert calls["forms.enumerate_class_set"] == 2
+    assert calls["forms.enumerate_class_set"] == 0  # the sieve needs no h
+    theorem_rhs(f, x, x, 0.25, 0.2)
+    assert calls["forms.enumerate_class_set"] == 1
 
 
 def test_theorem_rhs_h_from_key_list_matches_counted_h():
@@ -264,7 +260,7 @@ def test_pi_f_kernel_matches_the_value_bitmap():
                 assert pi_f_interval(f, x, y) == pi_f_interval(g, x, y) == want, (f, x, y)
             if r_f(f, 2):
                 two.add(D % 2)
-            ramified += sum(1 for p, _ in factorize(D).factors if p > 2 and r_f(f, p))
+            ramified += sum(1 for p, _ in factorize(D) if p > 2 and r_f(f, p))
     assert two == {0, 1} and ramified
 
 
@@ -278,24 +274,22 @@ def test_pi_f_refuses_a_count_that_r_does_not_divide(monkeypatch):
 
 def test_selberg_rejects_bad_ranges():
     f = Form(1, 0, 1)
-    with pytest.raises(ValueError):
-        selberg_upper_bound(SieveParams.of(f, 100, 5))  # y < sqrt(ax)
-    with pytest.raises(ValueError):
-        SieveParams.of(f, 100, 200)  # y > x
-    with pytest.raises(ValueError):
-        SieveParams.of(f, 100, 100, phi_mode=0.5)
-    for eps in (0, -1, math.nan):
-        with pytest.raises(ValueError, match="epsilon"):
-            SieveParams.of(f, 100, 100, epsilon=eps)
-    with pytest.raises(ValueError):
-        selberg_upper_bound(SieveParams.of(Form(1, 0, 30), 20, 20))  # x < D/a
+    for call in (selberg_upper_bound, pinned_z):
+        args = (2.0,) if call is selberg_upper_bound else ()
+        with pytest.raises(ValueError, match="need \\(ax\\)"):
+            call(f, 100, 5, *args)  # y < sqrt(ax)
+        with pytest.raises(ValueError, match="need \\(ax\\)"):
+            call(f, 100, 200, *args)  # y > x
+        with pytest.raises(ValueError, match="need x >= D/a"):
+            call(Form(1, 0, 30), 20, 20, *args)
+        with pytest.raises(ValueError, match="reduced primitive"):
+            call(Form(1, 5, 7), 100, 100, *args)
 
 
-def test_sieve_params_z_formula():
+def test_pinned_z_formula():
     f = Form(2, 1, 3)
-    p = SieveParams.of(f, 10**6, 10**5)
     expect = (f.a / (f.D * 10**6)) ** 0.25 * math.sqrt(10**5) * math.log(10**5) ** -7 + 1
-    assert p.z == expect
+    assert pinned_z(f, 10**6, 10**5) == expect
 
 
 def test_theorem_rhs_examples():
@@ -311,19 +305,31 @@ def test_theorem_rhs_examples():
     x8 = D ** (2 * (1.5 + eps / 2))  # theta = 1/2 exactly
     tb8 = theorem_rhs(f, x8, x8, 0.25, eps)
     assert abs(tb8.theta - 0.5) < 1e-12
-    assert abs(tb8.rhs_full - 8 * 1.0 * x8 / (1 * math.log(x8))) < 1e-6
+    assert abs(tb8.rhs - 8 * 1.0 * x8 / (1 * math.log(x8))) < 1e-6
     # phi = 0 at the exact range boundary
     x0 = (D / f.a) ** 1.2
     tb0 = theorem_rhs(f, x0, x0, 0, 0.2)
     assert x0 >= full_range_x(f.D, f.a, 0, 0.2)
     assert tb0.theta < 1
+    # y < x takes the short-interval bound 2/(1-theta') delta_f y / (h log y)
+    x, y = 10**6, 10**5
+    tb_full, tb_short = theorem_rhs(f, x, x, 0.25, eps), theorem_rhs(f, x, y, 0.25, eps)
+    assert tb_short.theta == tb_full.theta and tb_short.theta_prime < 1
+    assert tb_short.rhs == 2 / (1 - tb_short.theta_prime) * y / math.log(y)
+    assert tb_full.rhs == 4 / (1 - tb_full.theta) * x / math.log(x)
 
 
 def test_theorem_rhs_rejects():
-    with pytest.raises(ValueError):
-        theorem_rhs(Form(1, 5, 7), 100, 100, 0.25, 0.2)  # not reduced
-    with pytest.raises(ValueError):
-        theorem_rhs(Form(1, 0, 1), 100, 100, 0.1, 0.2)
+    f = Form(1, 0, 1)
+    with pytest.raises(ValueError, match="reduced primitive"):
+        theorem_rhs(Form(1, 5, 7), 100, 100, 0.25, 0.2)
+    with pytest.raises(ValueError, match="phi_mode"):
+        theorem_rhs(f, 100, 100, 0.1, 0.2)
+    with pytest.raises(ValueError, match="need 1 < y <= x"):
+        theorem_rhs(f, 100, 200, 0.25, 0.2)
+    for eps in (0, -1, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            theorem_rhs(f, 100, 100, 0.25, eps)
 
 
 def test_theta_prime_relation_at_y_equals_x():
@@ -382,20 +388,23 @@ def test_almost_prime_density_small():
     assert count_almost_primes(f, x, 10) >= 0.5 * x / (math.sqrt(f.D) * math.log(x) ** 2)
 
 
-def test_sieve_refuses_x_above_the_mask_cap_before_any_window():
-    # 2,309,401 window rows, under the row cap: the mask cap refuses first
+def test_sieve_refuses_x_above_the_mask_cap_before_any_window(capsys):
+    # 2,309,401 window rows, under the row cap: the mask cap refuses first, in
+    # the pi_f count that `bqf sieve` runs before the sieve's windows
     import tracemalloc
 
-    params = SieveParams.of(Form(1, 1, 1), 1e12, 1e12)
+    from bqfsieve.cli import main
+
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="prime mask limited to 2e8"):
-            selberg_upper_bound(params)
+        code = main(["sieve", "1", "1", "1", "1e12"])
         with pytest.raises(ValueError, match="prime mask limited to 2e8"):
             pi_f(Form(1, 1, 1), 1e12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and "prime mask limited to 2e8" in err and "Traceback" not in err
     assert peak < 1 << 20
 
 
@@ -406,10 +415,10 @@ def test_step0_inequality_on_sweep_rows():
         cs = enumerate_class_set(D)
         for f in cs.reduced_forms:
             x = math.ceil((D * D / f.a) ** 1.2)
-            params = SieveParams.of(f, x, x)
+            z = pinned_z(f, x, x)
             lhs = unit_count(D) / delta_f(f) * pi_f_interval(f, x, x)
-            sifted = sifted_interval_count(f, x, x, params.z)
-            pi_z = len(primes_upto(math.floor(params.z)))
+            sifted = sifted_interval_count(f, x, x, z)
+            pi_z = len(primes_upto(math.floor(z)))
             rhs = sifted + unit_count(D) / delta_f(f) * pi_z
             assert lhs <= rhs, (D, f.triple(), x)
 
@@ -442,7 +451,7 @@ def test_split_primes_weighted_by_delta_f():
     for D in range(3, 1001):
         if not is_discriminant(D):
             continue
-        ramified = [p for p, _ in factorize(D).factors]
+        ramified = [p for p, _ in factorize(D)]
         lhs = 0.0
         for f in enumerate_class_set(D).reduced_forms:
             lhs += delta_f(f) * (pi_f(f, x) - sum(1 for p in ramified if r_f(f, p)))

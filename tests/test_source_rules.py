@@ -6,7 +6,9 @@ and a worker's SystemExit).  Work is spread over processes in one place,
 `arith.worker_map`, so no other module names ProcessPoolExecutor, and the
 job count is an argument, so nothing reads the environment.  The value
 bitmap serves the almost-prime count alone: pi_f gathers from the prime
-mask and divides by the representation number, with no bitmap."""
+mask and divides by the representation number, with no bitmap.  The sieve
+reports the sieve: `selberg_upper_bound` counts no pi_f and evaluates no
+theorem bound."""
 
 import ast
 from pathlib import Path
@@ -17,6 +19,8 @@ SRC = Path(bqfsieve.__file__).resolve().parent
 CODE_RUNNERS = {"eval", "exec", "compile"}
 POOL_MODULE = "arith.py"
 BITMAP_CALLER = "count_almost_primes"
+SIEVE = "selberg_upper_bound"
+THEOREM_CALLS = {"pi_f", "pi_f_interval", "theorem_rhs"}
 
 
 def _violations(path: Path) -> list[str]:
@@ -40,6 +44,9 @@ def _violations(path: Path) -> list[str]:
         elif (isinstance(node, ast.Call) and "value_bitmap" in _names(node.func)
               and owner.get(node) != BITMAP_CALLER):
             out.append(f"{where}: value_bitmap outside {BITMAP_CALLER}")
+        elif (isinstance(node, ast.Call) and _names(node.func) & THEOREM_CALLS
+              and owner.get(node) == SIEVE):
+            out.append(f"{where}: {min(_names(node.func))} inside {SIEVE}")
     return sorted(out, key=lambda v: int(v.split(":")[1]))  # in source order
 
 
@@ -82,10 +89,15 @@ def test_rules_catch_each_pattern(tmp_path):
                     "os.environ.get('BQF_THREADS')\nos.getenv('BQF_THREADS')\n"
                     "value_bitmap(f, x)\n"
                     "def count_almost_primes():\n    value_bitmap(f, x)\n"
-                    "def pi_f():\n    lattice.value_bitmap(f, x)\n")
+                    "def pi_f():\n    lattice.value_bitmap(f, x)\n"
+                    "def selberg_upper_bound():\n    pi_f(f, x)\n"
+                    "    sieve.pi_f_interval(f, x, y)\n    theorem_rhs(f, x, y, 0, 1)\n"
+                    "    selberg_system(f, z)\n")
     assert [v.split(": ", 1)[1] for v in _violations(path)] == [
         "assert statement", "call to eval", "call to exec", "call to compile",
         "bare except", "process pool outside arith.py",
         "process pool outside arith.py", "environment read", "environment read",
         "value_bitmap outside count_almost_primes",
-        "value_bitmap outside count_almost_primes"]
+        "value_bitmap outside count_almost_primes", "pi_f inside selberg_upper_bound",
+        "pi_f_interval inside selberg_upper_bound",
+        "theorem_rhs inside selberg_upper_bound"]
