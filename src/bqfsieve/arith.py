@@ -1,13 +1,14 @@
 """Exact integer arithmetic primitives shared by every other module.
 
 Provides the Kronecker symbol (m/n) with its standard extension to even and
-non-positive n, trial-division factorization, the small multiplicative
-functions (mu, phi, tau, tau_3) that the congruence-sum and sieve
-machinery consume, and the package's one prime table: `sieve_primes`
-is its one Eratosthenes kernel, and the shared mask (`prime_table`, presized
-by a sweep), the spf table (int32, as far as asked) and the Omega table
-(filled in spf blocks) are read-only and grow to max(request, 2 x current),
-never past MASK_CAP cells.  `primes_upto` gives Python ints, so no numpy
+non-positive n, factorization of 1 <= n < 2^44 by trial division against the
+prime table, the small multiplicative functions (mu, tau, tau_3) that the
+congruence-sum and sieve machinery consume, and the package's one prime
+table, its only test of primality: `sieve_primes` is its one Eratosthenes
+kernel, and the shared mask (`prime_table`, presized by a sweep), the spf
+table (int32, as far as asked) and the Omega table (filled in spf blocks)
+are read-only and grow to max(request, 2 x current), never past MASK_CAP
+cells.  `primes_upto` gives Python ints, so no numpy
 scalar reaches a Fraction, a cache key or pow.  `factorize` and
 `mult_functions` are memoised, and `CellMemo` is the package's one memo for
 arrays: least recently used out first, bounded by the cells it keeps.
@@ -21,7 +22,6 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "factorize",
     "mult_functions",
     "divisors",
-    "is_prime",
     "prime_table",
     "primes_upto",
     "spf_upto",
@@ -217,23 +216,19 @@ def kronecker(m: int, n: int) -> int:
 
 @lru_cache(maxsize=1 << 12)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """n = prod p^e as the pairs (p, e), p strictly ascending: trial division
-    against the cached prime table, exact for any n >= 1.
+    """n = prod p^e as the pairs (p, e), p strictly ascending, for 1 <= n < 2^44.
 
-    Adequate at desk scale (n up to ~1e12 worst case); swap in Pollard rho
-    if the table-bounded trial division ever becomes the bottleneck.
+    Trial division by the table's primes <= sqrt(n) < 2^22 leaves 1 or a
+    prime.  The package factors a discriminant D <= D_MAX, a modulus l < 2^21
+    and a divisor of P(z) below z^2, all far inside the bound, so anything
+    else is refused before any work.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n < 1 << 44:
+        raise ValueError(f"factorize needs 1 <= n < 2^44, got {n}")
     factors = []
     rem = n
-    root = math.isqrt(n)
-    bound = min(root, 1 << 22)
-    odd = bound + 1 + bound % 2
-    # the table's primes, then (for n > 2^44) odd q past them unless the
-    # cofactor left is prime
-    for p in chain(primes_upto(bound), range(odd, root + 1, 2)):
-        if p * p > rem or (p == odd and is_prime(rem)):
+    for p in primes_upto(math.isqrt(n)):
+        if p * p > rem:
             break
         if rem % p == 0:
             e = 0
@@ -249,7 +244,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 @dataclass(frozen=True)
 class MultValues:
     mu: int
-    phi: int
     tau: int
     tau3: int
     squarefree: bool
@@ -257,11 +251,10 @@ class MultValues:
 
 @lru_cache(maxsize=1 << 12)
 def mult_functions(n: int) -> MultValues:
-    """mu, phi, tau, tau_3 and squarefreeness of n, exactly."""
-    mu, phi, tau, tau3 = 1, 1, 1, 1
+    """mu, tau, tau_3 and squarefreeness of n, exactly."""
+    mu, tau, tau3 = 1, 1, 1
     squarefree = True
     for p, e in factorize(n):
-        phi *= p ** (e - 1) * (p - 1)
         tau *= e + 1
         tau3 *= (e + 1) * (e + 2) // 2
         if e > 1:
@@ -269,7 +262,7 @@ def mult_functions(n: int) -> MultValues:
             mu = 0
         elif mu != 0:
             mu = -mu
-    return MultValues(mu=mu, phi=phi, tau=tau, tau3=tau3, squarefree=squarefree)
+    return MultValues(mu=mu, tau=tau, tau3=tau3, squarefree=squarefree)
 
 
 def divisors(n: int) -> list[int]:
@@ -278,31 +271,3 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 2^64."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True

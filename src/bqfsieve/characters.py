@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import bernoulli, digamma
+from scipy.special import digamma
 
 from .arith import CellMemo, primes_upto, spf_upto, worker_map
 from .forms import D_MAX, Q_MAX, Form, is_discriminant, unit_count
@@ -96,6 +97,15 @@ class LValues:
     error_bound: float
 
 
+def _em_coefficients(q: int) -> np.ndarray:
+    """B_2j/(2j) for j = 1..q, each rounded once from the exact Fraction, with
+    B_m from sum_{k<=m} C(m+1, k) B_k = 0 and B_0 = 1."""
+    B = [Fraction(1)]
+    for m in range(1, 2 * q + 1):
+        B.append(-sum(math.comb(m + 1, k) * b for k, b in enumerate(B)) / (m + 1))
+    return np.array([float(B[j] / j) for j in range(2, 2 * q + 1, 2)])
+
+
 # L'(1,chi) sums N periods directly and closes the tail with the
 # Euler-Maclaurin terms of order 1, 3, ..., 2q-1.  Their sum
 # sum_j B_2j/(2j) (log u - H_{2j-1}) s^j, s = (D/u)^2, is evaluated as
@@ -103,7 +113,7 @@ class LValues:
 _EM_PERIODS = 8
 _EM_ORDER = 10
 _SUM_CELLS = 1 << 20  # the direct sum takes max(1, _SUM_CELLS // D) periods at a time
-_EM_B = bernoulli(2 * _EM_ORDER)[2::2] / np.arange(2, 2 * _EM_ORDER + 1, 2)
+_EM_B = _em_coefficients(_EM_ORDER)
 _EM_H = np.cumsum(1 / np.arange(1, 2 * _EM_ORDER + 1))
 _EM_P = np.append(_EM_B[::-1], 0.0)
 _EM_Q = np.append((_EM_B * _EM_H[0::2])[::-1], 0.0)
@@ -176,12 +186,8 @@ class CharacterProfile:
         dev = np.concatenate([[0.0], np.cumsum(np.concatenate([vals, vals]) - mu)])
         return float(np.max(dev) - np.min(dev))
 
-    def tail_quadratic(self, y) -> "np.ndarray | float":
-        """int_y^inf S(t)/t^2 dt = sum_{n>=y} S(n)/(n(n+1)), exactly."""
-        return self._tail(self.S_mod, y)
-
     def tail_quadratic_abs(self, y) -> "np.ndarray | float":
-        """Same closed form with |S|."""
+        """int_y^inf |S(t)|/t^2 dt = sum_{n>=y} |S(n)|/(n(n+1)), exactly."""
         return self._tail(self.abs_S, y)
 
     def _tail(self, vals: np.ndarray, y):

@@ -32,11 +32,11 @@ Primes, the prime mask and Omega come from the one table in `arith` (grown to
 max(request, 2 x current), capped at MASK_CAP); this module keeps none.
 The sieve and the theorem it proves stay apart: a `SieveReport` holds the
 sieve's values alone, `pi_f_interval` counts the primes, and `theorem_rhs`
-gives theta, theta' and the right-hand side, the one place that picks the
-short-interval bound (y < x) or the full-range one.  `theorem_rhs` takes h(-D)
-from a caller that has it; h = None counts it with `enumerate_class_set`.  A
-report computes script_J and its degenerate-L branch only when they are read
-(`bqf sieve` reads them, a sweep row does not).
+gives theta, theta', the right-hand side and the theta it used, the one place
+that picks the short-interval bound (y < x) or the full-range one.
+`theorem_rhs` takes h(-D) from a caller that has it; h = None counts it with
+`enumerate_class_set`.  A report computes script_J and its degenerate-L
+branch only when they are read (`bqf sieve` reads them, a sweep row does not).
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ def pi_f_interval(f: Form, x, y) -> int:
         raise ValueError("pi_f expects a primitive form")
     if not 0 <= y <= x:
         raise ValueError("need 0 <= y <= x")
+    ramified = [p for p, _ in factorize(f.D)]  # refuses D >= 2^44 before any array
     X = math.floor(x)
     if X < 2:
         return 0
@@ -103,7 +104,7 @@ def pi_f_interval(f: Form, x, y) -> int:
     mask = prime_table(X)
     points = count_odd_points(f, X, low, mask[1::2])
     count = 0
-    for p in {2, *(p for p, _ in factorize(f.D))}:
+    for p in {2, *ramified}:
         if low < p <= X:
             rp = r_f(g, p)
             if p > 2:
@@ -210,6 +211,7 @@ def pinned_z(f: Form, x, y) -> float:
 class TheoremBounds:
     theta: float
     theta_prime: float
+    theta_used: float  # the one of theta, theta' that rhs is built from
     rhs: float
 
 
@@ -249,8 +251,9 @@ def theorem_rhs(f: Form, x, y, phi_mode: float, epsilon: float,
 
     rhs is the short-interval bound 2/(1-theta') delta_f y / (h(-D) log y) when
     y < x and the full-range bound 4/(1-theta) delta_f x / (h(-D) log x) when
-    y = x; a vacuous bound (theta or theta' >= 1) is nan.  h = None counts h(-D),
-    which refuses a D above D_MAX.
+    y = x, and `theta_used` is the theta' or theta it took; a vacuous bound
+    (theta_used >= 1) is nan.  h = None counts h(-D), which refuses a D above
+    D_MAX.
     """
     if not is_reduced(f) or not is_primitive(f):
         raise ValueError("theorem_rhs expects a reduced primitive form")
@@ -267,11 +270,9 @@ def theorem_rhs(f: Form, x, y, phi_mode: float, epsilon: float,
     theta_p = lx / (2 * ly) + (0.5 + phi + epsilon / 4) * lD / ly - la / (2 * ly)
     h = enumerate_class_set(D).h if h is None else h
     delta = delta_f(f)
-    if y < x:
-        rhs = 2 / (1 - theta_p) * delta * y / (h * ly) if theta_p < 1 else math.nan
-    else:
-        rhs = 4 / (1 - theta) * delta * x / (h * lx) if theta < 1 else math.nan
-    return TheoremBounds(theta=theta, theta_prime=theta_p, rhs=rhs)
+    k, used, t, lt = (2, theta_p, y, ly) if y < x else (4, theta, x, lx)
+    rhs = k / (1 - used) * delta * t / (h * lt) if used < 1 else math.nan
+    return TheoremBounds(theta=theta, theta_prime=theta_p, theta_used=used, rhs=rhs)
 
 
 @dataclass(frozen=True)

@@ -219,10 +219,9 @@ def _run_row(cfg: SweepConfig, row: SweepRecord) -> SweepRecord:
         rep = selberg_upper_bound(f, row.x, row.y, pinned_z(f, row.x, row.y))
         exact = pi_f_interval(f, row.x, row.y)
         tb = theorem_rhs(f, row.x, row.y, cfg.phi_mode, cfg.epsilon, row.h)
-        theta = tb.theta_prime if cfg.mode == "interval" else tb.theta
         counts = dict(pass_="1" if exact < tb.rhs else "0", z=rep.z,
                       exact_count=exact, upper_bound=rep.upper_bound,
-                      rhs_theorem=tb.rhs, theta_or_theta_prime=theta,
+                      rhs_theorem=tb.rhs, theta_or_theta_prime=tb.theta_used,
                       sifted_count=rep.sifted_count)
     return replace(row, runtime_ms=int((time.perf_counter() - start) * 1000), **counts)
 

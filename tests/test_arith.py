@@ -1,14 +1,15 @@
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bqfsieve import arith
-from bqfsieve.arith import (CellMemo, big_omega_upto, divisors, factorize, is_prime,
-                            kronecker, mult_functions, prime_table, primes_upto,
-                            sieve_primes, spf_upto)
+from bqfsieve.arith import (CellMemo, big_omega_upto, divisors, factorize, kronecker,
+                            mult_functions, prime_table, primes_upto, sieve_primes,
+                            spf_upto)
 
 
 def brute_is_square_mod(m, p):
@@ -94,6 +95,24 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
 
 
+def test_factorize_refuses_2_44_and_above_before_any_work():
+    # sqrt(n) < 2^22 for n < 2^44: the table's primes reach that far, and the
+    # largest square of a prime below 2^22 still factors
+    q = 4194301  # the last prime below 2^22
+    assert trial_division_prime(q) and not any(map(trial_division_prime, range(q + 1, 2**22)))
+    assert factorize(q * q) == ((q, 2),)
+    p = 4194319  # the first prime above 2^22
+    assert trial_division_prime(p) and not any(map(trial_division_prime, range(2**22, p)))
+    for n in (2**44, p * p, p * (p + 2)):
+        took = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="2\\^44"):
+                factorize(n)
+            took.append(time.perf_counter() - start)
+        assert min(took) < 1e-3, (n, took)
+
+
 @given(st.integers(1, 10**6))
 def test_factorize_roundtrip(n):
     fac = factorize(n)
@@ -104,10 +123,10 @@ def test_factorize_roundtrip(n):
 
 def test_mult_functions_examples():
     m1 = mult_functions(1)
-    assert (m1.mu, m1.phi, m1.tau, m1.tau3) == (1, 1, 1, 1)
+    assert (m1.mu, m1.tau, m1.tau3) == (1, 1, 1)
     m12 = mult_functions(12)
     # tau3(12) = sum_{d | 12} tau(d) = 1+2+2+3+4+6 = 18
-    assert (m12.mu, m12.phi, m12.tau, m12.tau3) == (0, 4, 6, 18)
+    assert (m12.mu, m12.tau, m12.tau3) == (0, 6, 18)
     m30 = mult_functions(30)
     assert m30.mu == -1 and m30.squarefree
 
@@ -133,26 +152,6 @@ def trial_division_prime(n):
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def test_miller_rabin_against_trial_division():
-    for n in range(1, 20000):
-        assert is_prime(n) == trial_division_prime(n), n
-
-
-def test_miller_rabin_large():
-    assert is_prime(2**61 - 1)
-    assert not is_prime((2**31 - 1) * (2**19 - 1))
-
-
-def test_factorize_beyond_the_trial_table():
-    # above 2^44 trial division by the table stops at 2^22 and continues by
-    # odd q; both factors here lie above 2^22
-    p = next(q for q in range(2**22 + 1, 2**23, 2) if is_prime(q))
-    q = next(r for r in range(p + 2, 2**23, 2) if is_prime(r))
-    assert factorize(p * q) == ((p, 1), (q, 1))
-    assert factorize(p * p) == ((p, 2),)
-    assert factorize(2 * p * q) == ((2, 1), (p, 1), (q, 1))
-
-
 # --- the shared prime table ------------------------------------------------
 
 @pytest.fixture
@@ -176,9 +175,10 @@ def uncached_factors(n):
     return factorize.__wrapped__(n)
 
 
-def test_mask_against_miller_rabin(fresh_tables):
+def test_mask_against_trial_division(fresh_tables):
     mask = prime_table(10**5)
-    assert [bool(v) for v in mask[: 10**5 + 1]] == [is_prime(n) for n in range(10**5 + 1)]
+    assert ([bool(v) for v in mask[: 10**5 + 1]]
+            == [trial_division_prime(n) for n in range(10**5 + 1)])
     # across a growth boundary: the table built at 2^16 cells is rebuilt at
     # max(request, 2 x current) and stays exact past the old limit
     arith._mask = np.zeros(0, dtype=bool)
@@ -189,7 +189,7 @@ def test_mask_against_miller_rabin(fresh_tables):
     assert len(grown) - 1 == 1 << 17 and fresh_tables == [1 << 16, 1 << 17]
     lo = (1 << 16) - 2000
     assert ([bool(v) for v in grown[lo:]]
-            == [is_prime(n) for n in range(lo, (1 << 17) + 1)])
+            == [trial_division_prime(n) for n in range(lo, (1 << 17) + 1)])
 
 
 def test_prime_table_cap(fresh_tables):

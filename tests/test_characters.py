@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -80,10 +81,11 @@ def test_tail_quadratic_against_truncated_sum():
     N = 10**6
     S = char_prefix_sums(23, N).tolist()
     for y in (7, 23, 100):
-        # truncated brute sum + exact mean tail correction bounds the value
-        brute = sum(S[n] / (n * (n + 1)) for n in range(y, N))
-        exact = prof.tail_quadratic(y)
-        assert abs(brute - exact) < 5e-6  # remaining tail is mu_S/N-sized
+        # the closed form against the sum truncated at N, whose remaining
+        # tail is at most max|S|/N
+        brute = sum(abs(S[n]) / (n * (n + 1)) for n in range(y, N))
+        exact = prof.tail_quadratic_abs(y)
+        assert 0 <= exact - brute <= prof.s_max / N
 
 
 def test_L_values_classical():
@@ -94,6 +96,14 @@ def test_L_values_classical():
     # round(w sqrt(D) L1 / 2pi) recovers h(-23) = 3
     h, resid = class_number_estimate(23)
     assert h == 3 and resid < 0.5
+
+
+def test_euler_maclaurin_coefficients_are_the_exact_bernoulli_numbers():
+    # B_2, B_4, ..., B_20, each B_2j/(2j) rounded once from its Fraction
+    bernoulli = ["1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6",
+                 "-3617/510", "43867/798", "-174611/330"]
+    assert characters._EM_B.tolist() == [
+        float(Fraction(b) / (2 * j)) for j, b in enumerate(bernoulli, 1)]
 
 
 def _mp_L_values(D):

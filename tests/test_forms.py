@@ -245,7 +245,7 @@ def test_fundamental_part():
     assert fundamental_part(16) == (4, 2)
     assert fundamental_part(75) == (3, 5)
     assert fundamental_part(7 * 1000003**2) == (7, 1000003)  # D > 10^12
-    assert fundamental_part(4 * 5 * 1000003**2) == (20, 1000003)
+    assert fundamental_part(12 * 1000003**2) == (3, 2000006)
     assert fundamental_part(10**12 + 3) == (10**12 + 3, 1)
     for D in range(3, 20001):
         if is_discriminant(D):

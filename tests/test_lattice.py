@@ -389,7 +389,7 @@ def test_root_set_prime_near_2_21():
     # the int64 scan at the largest admitted prime modulus: each root is
     # checked by evaluating f, and M(p) = 1 + chi(p) as p divides neither a nor D
     p = 2097143
-    assert arith.is_prime(p) and p < lattice._MAX_ELL
+    assert arith.prime_table(p)[p] and p < lattice._MAX_ELL
     split = 0
     for f in (Form(1, 1, 1), Form(1, 1, 6), Form(2, 1, 3), Form(1, 0, 5),
               Form(3, 2, 5), Form(1, 1, 1000003)):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bqfsieve import sieve
+from bqfsieve import arith, sieve
 from bqfsieve.arith import factorize, prime_table, primes_upto
 from bqfsieve.characters import char_profile
 from bqfsieve.forms import (Form, delta_f, enumerate_class_set, is_discriminant,
@@ -319,6 +319,19 @@ def test_theorem_rhs_examples():
     assert tb_full.rhs == 4 / (1 - tb_full.theta) * x / math.log(x)
 
 
+def test_sweep_theta_is_the_one_the_rhs_used():
+    # interval rows whose y is capped at x take the full-range bound, so they
+    # report theta, and the rows with y < x report theta'
+    res = run_sweep(SweepConfig(Q=200, mode="interval", x_rule="(D*D/a)**3",
+                                y_rule="(D*D/a)**2.4"))
+    live = [r for r in res.records if r.pass_ in ("0", "1")]
+    assert {r.y < r.x for r in live} == {True, False}
+    for r in live:
+        k, t = (2, r.y) if r.y < r.x else (4, r.x)
+        rhs = k / (1 - r.theta_or_theta_prime) * r.delta_f * t / (r.h * math.log(t))
+        assert r.rhs_theorem == pytest.approx(rhs, rel=1e-12), (r.D, r.a, r.b, r.c)
+
+
 def test_theorem_rhs_rejects():
     f = Form(1, 0, 1)
     with pytest.raises(ValueError, match="reduced primitive"):
@@ -406,6 +419,19 @@ def test_sieve_refuses_x_above_the_mask_cap_before_any_window(capsys):
     err = capsys.readouterr().err
     assert code == 2 and "prime mask limited to 2e8" in err and "Traceback" not in err
     assert peak < 1 << 20
+
+
+def test_pi_f_refuses_D_of_2_44_before_any_table(monkeypatch):
+    monkeypatch.setattr(arith, "_mask", np.zeros(0, dtype=bool))
+    builds = []
+    kernel = arith.sieve_primes
+    monkeypatch.setattr(arith, "sieve_primes", lambda n: builds.append(n) or kernel(n))
+    f = Form(1, 0, 2**42)
+    assert f.D == 2**44
+    for x, y in ((100, 100), (1e6, 10)):
+        with pytest.raises(ValueError, match="2\\^44"):
+            pi_f_interval(f, x, y)
+    assert builds == [] and len(arith._mask) == 0
 
 
 def test_step0_inequality_on_sweep_rows():

@@ -8,7 +8,9 @@ job count is an argument, so nothing reads the environment.  The value
 bitmap serves the almost-prime count alone: pi_f gathers from the prime
 mask and divides by the representation number, with no bitmap.  The sieve
 reports the sieve: `selberg_upper_bound` counts no pi_f and evaluates no
-theorem bound."""
+theorem bound.  SciPy serves two functions, `digamma` in `characters` and
+`expi` inside `cli._Li`, and no other import of it is admitted, so the
+package's use of SciPy grows no further than those two."""
 
 import ast
 from pathlib import Path
@@ -21,6 +23,8 @@ POOL_MODULE = "arith.py"
 BITMAP_CALLER = "count_almost_primes"
 SIEVE = "selberg_upper_bound"
 THEOREM_CALLS = {"pi_f", "pi_f_interval", "theorem_rhs"}
+# each SciPy name a module may import: (file, enclosing function, None for any)
+SCIPY_NAMES = {"digamma": ("characters.py", None), "expi": ("cli.py", "_Li")}
 
 
 def _violations(path: Path) -> list[str]:
@@ -47,6 +51,11 @@ def _violations(path: Path) -> list[str]:
         elif (isinstance(node, ast.Call) and _names(node.func) & THEOREM_CALLS
               and owner.get(node) == SIEVE):
             out.append(f"{where}: {min(_names(node.func))} inside {SIEVE}")
+        elif _imports_scipy(node) and not all(
+                SCIPY_NAMES.get(alias.name) in ((path.name, None),
+                                                (path.name, owner.get(node)))
+                for alias in node.names):
+            out.append(f"{where}: scipy import other than {sorted(SCIPY_NAMES)}")
     return sorted(out, key=lambda v: int(v.split(":")[1]))  # in source order
 
 
@@ -59,6 +68,16 @@ def _enclosing_functions(tree: ast.AST) -> dict[ast.AST, str]:
             for node in ast.walk(fn):
                 owner[node] = fn.name
     return owner
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    elif isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    else:
+        return False
+    return any(m.split(".")[0] == "scipy" for m in modules)
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -92,7 +111,8 @@ def test_rules_catch_each_pattern(tmp_path):
                     "def pi_f():\n    lattice.value_bitmap(f, x)\n"
                     "def selberg_upper_bound():\n    pi_f(f, x)\n"
                     "    sieve.pi_f_interval(f, x, y)\n    theorem_rhs(f, x, y, 0, 1)\n"
-                    "    selberg_system(f, z)\n")
+                    "    selberg_system(f, z)\n"
+                    "import scipy.special\nfrom scipy.special import digamma\n")
     assert [v.split(": ", 1)[1] for v in _violations(path)] == [
         "assert statement", "call to eval", "call to exec", "call to compile",
         "bare except", "process pool outside arith.py",
@@ -100,4 +120,16 @@ def test_rules_catch_each_pattern(tmp_path):
         "value_bitmap outside count_almost_primes",
         "value_bitmap outside count_almost_primes", "pi_f inside selberg_upper_bound",
         "pi_f_interval inside selberg_upper_bound",
-        "theorem_rhs inside selberg_upper_bound"]
+        "theorem_rhs inside selberg_upper_bound",
+        "scipy import other than ['digamma', 'expi']",
+        "scipy import other than ['digamma', 'expi']"]
+    # the two admitted imports, each only where it is admitted
+    for name, text in (("characters.py", "from scipy.special import bernoulli, digamma\n"
+                                         "def f():\n    from scipy.special import digamma\n"),
+                       ("cli.py", "from scipy.special import expi\n"
+                                  "def _Li():\n    from scipy.special import expi\n"
+                                  "def g():\n    from scipy.special import expi\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert [v.split(":")[1] for v in _violations(path)] == {
+            "characters.py": ["1"], "cli.py": ["1", "5"]}[name]
