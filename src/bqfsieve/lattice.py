@@ -22,9 +22,9 @@ v >= 0 rows of the reduced form): a U = arange and a U^2 once per window, then
 one allocation and two in-place adds per row; asked for odd values only, it
 keeps one parity of u (a step-2 slice), the whole row or nothing, as
 f(u,v) = u (a + bv) + cv (mod 2).  `count_odd_points` (behind `sieve.pi_f`)
-gathers its odd values from the odd half of the prime mask,
-`sieve.sifted_interval_count` sieves its values, and `value_bitmap` (behind
-the almost-prime count alone) marks them.
+gathers its odd values from the prime mask, `sieve.sifted_interval_count`
+gathers from a sifted mask through `count_odd_points`, and `value_bitmap`
+(behind the almost-prime count alone) marks them.
 
 The package's cache policy covers the counts: a window computes its rows once
 (`EllipseWindow.rows`, read-only) and every count on it shares them; the
@@ -100,7 +100,7 @@ _CACHE_CELLS = 1 << 20   # cells of all memoised prefix blocks together
 _RESIDUE_CELLS = 1 << 26  # cells of the prefix blocks one window reads
 
 
-def _row_span(f: Form, X: int) -> int:
+def row_span(f: Form, X: int) -> int:
     """The largest |v| of a row of {f <= X}, isqrt(4aX // D) (-1 for X < 0);
     a window over its caps is refused here, before any array."""
     T = 4 * f.a * X
@@ -130,7 +130,7 @@ def _rows(f: Form, X: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     a, b, D = f.a, f.b, f.D
     T = 4 * a * X
-    vmax = _row_span(f, X)
+    vmax = row_span(f, X)
     v = np.arange(-vmax, vmax + 1, dtype=np.int64)
     if D > T:
         s = np.array([math.isqrt(T - D * w * w) for w in range(-vmax, vmax + 1)],
@@ -440,11 +440,11 @@ def _row_values(f: Form, X: int, odd: bool = False):
         yield w, t
 
 
-def count_odd_points(f: Form, x, low: int, odd: np.ndarray) -> int:
-    """#{(u, v) : low < n <= x, n = f(u, v) odd with odd[n >> 1]} over the whole
+def count_odd_points(f: Form, x, low: int, mask: np.ndarray) -> int:
+    """#{(u, v) : low < n <= x, n = f(u, v) odd with mask[n]} over the whole
     plane: the odd values of the v >= 0 rows of `_row_values`, gathered from
-    `odd` (odd[k] marks n = 2k + 1) and weighted 2 off row 0, as row -w repeats
-    row w.  `odd` must cover every odd n <= x."""
+    `mask` and weighted 2 off row 0, as row -w repeats row w.  `mask` must
+    cover 0..x; its even cells are never read."""
     X = math.floor(x)
     if X < 1:
         return 0
@@ -452,8 +452,7 @@ def count_odd_points(f: Form, x, low: int, odd: np.ndarray) -> int:
     for w, t in _row_values(f, X, odd=True):
         if low > 0:  # every odd value is above a low below 1
             t = t[t > low]
-        t >>= 1
-        total += (2 if w else 1) * int(np.count_nonzero(odd[t]))
+        total += (2 if w else 1) * int(np.count_nonzero(mask[t]))
     return total
 
 

@@ -17,13 +17,13 @@ The pinned sifting parameter is z = (a/(Dx))^(1/4) y^(1/2) (log y)^(-7) + 1
 (`pinned_z`); at desk scale the (log y)^7 factor keeps z barely above 1, so
 the system is usually the degenerate l = 1 one and the bound reduces to
 2 pi y / sqrt(D) plus the exact remainder, and the sifted count is the l = 1
-interval count itself.
-The machinery is exercised at larger z by the tests.
+interval count itself.  At larger z, run by the tests, `sifted_interval_count`
+gathers from a mask of the n <= x with no prime factor <= z, as pi_f does.
 
 pi_f needs no table of represented values.  A prime p not dividing D has
 r_f(p) = 0 or r = w (1 + [f ambiguous]) representations (w = unit_count(D)),
-so it counts the lattice points whose value is an odd prime in range, read
-from the odd half of the prime mask (`lattice.count_odd_points`), subtracts
+so it counts the lattice points whose value is an odd prime in range,
+gathered from the prime mask by `lattice.count_odd_points`, subtracts
 r_f(p) for the odd p | D, divides by r (a remainder raises RuntimeError),
 and adds 1 for each p | 2D in range that f represents.  The value bitmap
 serves only the almost-prime count, which needs Omega of every value.
@@ -53,8 +53,8 @@ from .arith import big_omega_upto, factorize, mult_functions, prime_table, prime
 from .characters import L_values, sum_local_densities
 from .forms import (Form, delta_f, enumerate_class_set, is_ambiguous, is_primitive,
                     is_reduced, reduce_form, unit_count)
-from .lattice import (EllipseWindow, _row_span, _row_values, count_A_ell,
-                      count_odd_points, local_density_g, r_f, value_bitmap)
+from .lattice import (EllipseWindow, count_A, count_A_ell, count_odd_points,
+                      local_density_g, r_f, row_span, value_bitmap)
 
 __all__ = [
     "SieveReport",
@@ -100,9 +100,8 @@ def pi_f_interval(f: Form, x, y) -> int:
         return 0
     low = math.floor(x - y)
     g = reduce_form(f)
-    _row_span(g, X)  # the row cap, then the mask cap, before any array
-    mask = prime_table(X)
-    points = count_odd_points(f, X, low, mask[1::2])
+    row_span(g, X)  # the row cap, then the mask cap, before any array
+    points = count_odd_points(f, X, low, prime_table(X))
     count = 0
     for p in {2, *ramified}:
         if low < p <= X:
@@ -119,20 +118,20 @@ def pi_f_interval(f: Form, x, y) -> int:
 
 
 def sifted_interval_count(f: Form, x, y, z) -> int:
-    """sum of r_f(n) over x - y < n <= x with n coprime to all primes <= z."""
+    """sum of r_f(n) over x - y < n <= x, n with no prime factor <= z: the window's points
+    at z < 2, else the odd points (z >= 2 sifts even n) gathered from a mask of such n."""
     if y < 0 or y > x:
         raise ValueError("need 0 <= y <= x")
-    if y == 0:
-        return 0
-    lo_val = math.floor(x - y) + 1
     small_primes = primes_upto(math.floor(z))
-    total = 0
-    for w, vals in _row_values(f, math.floor(x)):
-        keep = vals >= lo_val
-        for p in small_primes:
-            keep &= vals % p != 0
-        total += (2 if w else 1) * int(np.count_nonzero(keep))  # row -w repeats row w
-    return total
+    if not small_primes:
+        return count_A(EllipseWindow.of(f, x)) - count_A(EllipseWindow.of(f, x - y))
+    X = math.floor(x)
+    if X > arith.MASK_CAP:  # before the mask
+        raise ValueError(f"x = {X} is above the mask cap {arith.MASK_CAP}")
+    keep = np.ones(X + 1, dtype=bool)
+    for p in small_primes:
+        keep[::p] = False
+    return count_odd_points(f, X, math.floor(x - y), keep)
 
 
 @dataclass(frozen=True)
@@ -308,7 +307,7 @@ def selberg_upper_bound(f: Form, x, y, z: float) -> SieveReport:
     alone: pi_f and the theorem's bound are `pi_f_interval` and `theorem_rhs`.
     """
     _check_sieve_range(f, x, y)
-    _row_span(f, math.floor(x))  # the window's row cap, before any array
+    row_span(f, math.floor(x))  # the window's row cap, before any array
     sys = selberg_system(f, z)
     main_density = 2 * math.pi * y / math.sqrt(f.D)
     J = float(sys.J)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import functools
 import json
@@ -828,6 +829,20 @@ def test_theorem_sweep_script_csv_matches_verify(tmp_path, capsys):
     assert code == 0
     strip = lambda p: [l.rsplit(",", 1)[0] for l in p.read_text().splitlines()]
     assert strip(tmp_path / "script.csv") == strip(tmp_path / "cli.csv")
+
+
+def test_family_scan_script_rows_match_the_library(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_family_scan.py"
+    src = str(script.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = tmp_path / "scan.csv"
+    subprocess.run([sys.executable, str(script), "--Q", "100", "--out", str(out)],
+                   check=True, capture_output=True, env=env, timeout=120)
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [int(r["D"]) for r in rows] == list(family(100))
+    for r in rows:
+        assert r["h"] == r["h_formula"], r
+        assert r["L1"] == "%.10g" % characters.L_values(int(r["D"])).L1, r
 
 
 def test_readme_cli_examples(capsys, monkeypatch, tmp_path):

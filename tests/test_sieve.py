@@ -80,6 +80,24 @@ def brute_sifted(f, x, y, z):
     return count
 
 
+def rowwise_sifted(f, x, y, z):
+    # the sifted count row by row: each value of a v >= 0 row tested against
+    # every prime <= z, weighted 2 off row 0
+    from bqfsieve.lattice import _row_values
+
+    if y == 0:
+        return 0
+    lo_val = math.floor(x - y) + 1
+    small_primes = primes_upto(math.floor(z))
+    total = 0
+    for w, vals in _row_values(f, math.floor(x)):
+        keep = vals >= lo_val
+        for p in small_primes:
+            keep &= vals % p != 0
+        total += (2 if w else 1) * int(np.count_nonzero(keep))
+    return total
+
+
 def test_sifted_interval_examples():
     f = Form(1, 0, 1)
     assert sifted_interval_count(f, 10, 10, 2) == 16
@@ -91,6 +109,32 @@ def test_sifted_interval_brute():
     for f in (Form(1, 0, 1), Form(2, 1, 3), Form(1, 100, 2501)):  # the last: not reduced
         for (x, y, z) in ((100, 100, 2), (100, 40, 3), (350, 90, 5), (350, 350, 7)):
             assert sifted_interval_count(f, x, y, z) == brute_sifted(f, x, y, z)
+
+
+def test_sifted_interval_rowwise_at_scale():
+    for f in (Form(1, 0, 1), Form(2, 1, 3), Form(1, 100, 2501)):
+        for x in (10**4, 10**5, 10**6):
+            for y in (x, x / 3):
+                for z in (2, 3, 10, 30):
+                    assert sifted_interval_count(f, x, y, z) == rowwise_sifted(f, x, y, z), \
+                        (f, x, y, z)
+
+
+def test_sifted_interval_refuses_x_above_mask_cap_before_any_array():
+    import tracemalloc
+
+    f, X = Form(1, 0, 1), arith.MASK_CAP + 1
+    primes_upto(30)  # the shared prime table, grown before the peak is read
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the mask cap"):
+            sifted_interval_count(f, X, 10, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # z < 2 sifts nothing and needs no mask: the same x counts from the windows
+    assert sifted_interval_count(f, X, 10, 1.5) == sum(r_f(f, n) for n in range(X - 9, X + 1))
 
 
 def test_selberg_system_exact_identities():

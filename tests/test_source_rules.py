@@ -10,7 +10,9 @@ mask and divides by the representation number, with no bitmap.  The sieve
 reports the sieve: `selberg_upper_bound` counts no pi_f and evaluates no
 theorem bound.  SciPy serves two functions, `digamma` in `characters` and
 `expi` inside `cli._Li`, and no other import of it is admitted, so the
-package's use of SciPy grows no further than those two."""
+package's use of SciPy grows no further than those two.  No module imports
+another module's underscore name (`from .lattice import _rows`): what one
+module keeps private, no other module builds on."""
 
 import ast
 from pathlib import Path
@@ -56,6 +58,9 @@ def _violations(path: Path) -> list[str]:
                                                 (path.name, owner.get(node)))
                 for alias in node.names):
             out.append(f"{where}: scipy import other than {sorted(SCIPY_NAMES)}")
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+            out.extend(f"{where}: private name {alias.name} from .{node.module}"
+                       for alias in node.names if alias.name.startswith("_"))
     return sorted(out, key=lambda v: int(v.split(":")[1]))  # in source order
 
 
@@ -112,7 +117,9 @@ def test_rules_catch_each_pattern(tmp_path):
                     "def selberg_upper_bound():\n    pi_f(f, x)\n"
                     "    sieve.pi_f_interval(f, x, y)\n    theorem_rhs(f, x, y, 0, 1)\n"
                     "    selberg_system(f, z)\n"
-                    "import scipy.special\nfrom scipy.special import digamma\n")
+                    "import scipy.special\nfrom scipy.special import digamma\n"
+                    "from .lattice import (EllipseWindow, _row_span,\n    _row_values)\n"
+                    "from . import __version__\nfrom .arith import MASK_CAP\n")
     assert [v.split(": ", 1)[1] for v in _violations(path)] == [
         "assert statement", "call to eval", "call to exec", "call to compile",
         "bare except", "process pool outside arith.py",
@@ -122,7 +129,8 @@ def test_rules_catch_each_pattern(tmp_path):
         "pi_f_interval inside selberg_upper_bound",
         "theorem_rhs inside selberg_upper_bound",
         "scipy import other than ['digamma', 'expi']",
-        "scipy import other than ['digamma', 'expi']"]
+        "scipy import other than ['digamma', 'expi']",
+        "private name _row_span from .lattice", "private name _row_values from .lattice"]
     # the two admitted imports, each only where it is admitted
     for name, text in (("characters.py", "from scipy.special import bernoulli, digamma\n"
                                          "def f():\n    from scipy.special import digamma\n"),
