@@ -5,14 +5,15 @@ non-positive n, factorization of 1 <= n < 2^44 by trial division against the
 prime table, the small multiplicative functions (mu, tau, tau_3) that the
 congruence-sum and sieve machinery consume, and the package's one prime
 table, its only test of primality: `sieve_primes` is its one Eratosthenes
-kernel, and the shared mask (`prime_table`, presized by a sweep), the spf
-table (int32, as far as asked) and the Omega table (filled in spf blocks)
-are read-only and grow to max(request, 2 x current), never past MASK_CAP
-cells.  `primes_upto` gives Python ints, so no numpy
-scalar reaches a Fraction, a cache key or pow.  `factorize` and
-`mult_functions` are memoised, and `CellMemo` is the package's one memo for
-arrays: least recently used out first, bounded by the cells it keeps.
-`worker_map` is its one worker pool, refusing jobs outside [1, JOBS_MAX].
+kernel, and `spf_block` its one smallest-prime-factor sieve, run per call.
+The two shared tables, the prime mask (`prime_table`, presized by a sweep)
+and the Omega table (filled in spf blocks), are read-only and grow to
+max(request, 2 x current), never past MASK_CAP cells.  `primes_upto` gives
+Python ints, so no numpy scalar reaches a Fraction, a cache key or pow.
+`factorize` and `mult_functions` are memoised, and `CellMemo` is the
+package's one memo for arrays: least recently used out first, bounded by the
+cells it keeps.  `worker_map` is its one worker pool, refusing jobs outside
+[1, JOBS_MAX].
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
     "divisors",
     "prime_table",
     "primes_upto",
-    "spf_upto",
+    "spf_block",
     "big_omega_upto",
     "worker_map",
 ]
@@ -82,7 +83,6 @@ def sieve_primes(limit: int) -> np.ndarray:
 
 
 _mask = np.zeros(0, dtype=bool)
-_spf = np.zeros(0, dtype=np.int32)
 _omega = np.zeros(0, dtype=np.uint8)
 
 
@@ -138,7 +138,7 @@ def primes_upto(n: int) -> list[int]:
     return np.flatnonzero(prime_table(n)[: n + 1]).tolist() if n >= 2 else []
 
 
-def _spf_block(lo: int, hi: int) -> np.ndarray:
+def spf_block(lo: int, hi: int) -> np.ndarray:
     """Smallest prime factors spf(m) for lo <= m < hi as int32, sieved by the
     primes <= sqrt(hi - 1); spf(0) = 0 and spf(1) = 1."""
     spf = np.arange(lo, hi, dtype=np.int32)
@@ -147,14 +147,6 @@ def _spf_block(lo: int, hi: int) -> np.ndarray:
         spf[max(p * p, -(-lo // p) * p) - lo :: p] = p
     spf.setflags(write=False)
     return spf
-
-
-def spf_upto(n: int) -> np.ndarray:
-    """The shared spf(m) for m = 0..M, M >= n, grown only as far as asked."""
-    global _spf
-    if len(_spf) <= n:
-        _spf = _spf_block(0, _grown(len(_spf) - 1, n, "spf table") + 1)
-    return _spf
 
 
 def big_omega_upto(n: int) -> np.ndarray:
@@ -170,7 +162,7 @@ def big_omega_upto(n: int) -> np.ndarray:
         lo = max(have, 2)
         while lo < len(omega):
             hi = min(2 * lo, lo + (1 << 20), len(omega))
-            omega[lo:hi] = omega[np.arange(lo, hi) // _spf_block(lo, hi)] + 1
+            omega[lo:hi] = omega[np.arange(lo, hi) // spf_block(lo, hi)] + 1
             lo = hi
         omega.setflags(write=False)
         _omega = omega

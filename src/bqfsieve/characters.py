@@ -33,8 +33,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import digamma
 
-from .arith import CellMemo, primes_upto, spf_upto, worker_map
-from .forms import D_MAX, Q_MAX, Form, is_discriminant, unit_count
+from .arith import CellMemo, primes_upto, spf_block, worker_map
+from .forms import D_MAX, Q_MAX, Form, is_discriminant, require_discriminant, unit_count
 from .lattice import local_density_g
 
 __all__ = [
@@ -65,12 +65,13 @@ def _chi_period(D: int) -> np.ndarray:
     chi(p) comes from Euler's criterion (-D)^((p-1)/2) mod p at the odd
     primes and from -D mod 8 at p = 2; every other n follows from
     chi(n) = chi(spf(n)) chi(n/spf(n)), one block [2^k, 2^(k+1)) at a time,
-    since n/spf(n) < 2^k.
+    since n/spf(n) < 2^k.  spf is sieved for this D alone by `spf_block`,
+    the sieve whose blocks also fill Omega, and no table keeps it.
     """
     if D > D_MAX:  # first, before O(D) arrays; it also keeps the int64 squares exact
         raise ValueError(f"D = {D} exceeds D_MAX = {D_MAX}")
     n = np.arange(D + 1)
-    spf = spf_upto(D)[: D + 1].astype(np.int64)  # the dtype of n, for the loops below
+    spf = spf_block(0, D + 1)
     chi = np.zeros(D + 1, dtype=np.int8)
     chi[1] = 1
     p = n[3:][spf[3:] == n[3:]]
@@ -125,13 +126,12 @@ class CharacterProfile:
     tail truncation, and the L-values once read."""
 
     def __init__(self, D: int):
-        if not is_discriminant(D):
-            raise ValueError(f"-{D} is not a discriminant (D = 0, 3 mod 4, D >= 3)")
+        require_discriminant(D)
         self.D = D
         self.chi = _chi_period(D)
         csum = np.cumsum(self.chi[1:], dtype=np.int64)
         if csum[-1] != 0:
-            raise AssertionError(f"chi_(-{D}) is not mean-zero over its period")
+            raise RuntimeError(f"chi_(-{D}) is not mean-zero over its period")
         # S(n) for n = r (mod D); S(D) = 0 lands in slot 0.  |S(n)| <= n < D,
         # so the narrowest signed type holding -D holds S and |S| (the
         # profile cache keeps both)
@@ -293,13 +293,12 @@ class ErrorFunctionals:
 
 
 def _y_grid(limit: float, ratio: float = 1.1) -> np.ndarray:
-    ys = set()
-    y = 1.0
-    while y <= limit:
-        ys.add(int(round(y)))
-        y *= ratio
-    ys.add(max(int(limit), 1))
-    return np.array(sorted(v for v in ys if 1 <= v <= limit), dtype=np.int64)
+    # the products 1, r, r r, ... <= limit, taken in turn by cumprod and
+    # rounded half to even, with floor(limit) added
+    steps = int(math.log(max(limit, 1.0)) / math.log(ratio)) + 2
+    ys = np.cumprod(np.r_[1.0, np.full(steps, ratio)])
+    ys = np.unique(np.append(np.rint(ys[ys <= limit]).astype(np.int64), max(int(limit), 1)))
+    return ys[(ys >= 1) & (ys <= limit)]
 
 
 def _functional_minima(prof: CharacterProfile, x: float, ys: np.ndarray,
@@ -341,20 +340,17 @@ def sum_local_densities(f: Form, z: float) -> LocalDensitySum:
     the predicted L1 log z + L1'."""
     if z < 1:
         raise ValueError("z must be >= 1")
-    D = f.D
-    N = math.ceil(z) - 1 if math.ceil(z) == z else math.floor(z)
-    total = 0.0
-    if N >= 1:
-        g = np.zeros(N + 1, dtype=np.float64)
-        g[1] = 1.0
-        gp = {p: float(local_density_g(f, p)) for p in primes_upto(N)}
-        spf = spf_upto(N)[: N + 1].tolist()
-        for n in range(2, N + 1):
-            p = spf[n]
-            g[n] = g[n // p] * gp[p]
-        total = float(np.sum(g))
-    lv = L_values(D)
-    main = lv.L1 * math.log(z) + lv.L1_prime if z > 1 else lv.L1_prime
+    N = math.ceil(z) - 1  # the l < z
+    g = np.ones(N + 1, dtype=np.float64)
+    g[0] = 0.0
+    gp = {p: float(local_density_g(f, p)) for p in primes_upto(N)}
+    spf = spf_block(0, N + 1).tolist()
+    for n in range(2, N + 1):
+        p = spf[n]
+        g[n] = g[n // p] * gp[p]
+    total = float(np.sum(g))
+    lv = L_values(f.D)
+    main = lv.L1 * math.log(z) + lv.L1_prime
     return LocalDensitySum(sum=total, residual=total - main)
 
 

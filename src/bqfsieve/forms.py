@@ -37,6 +37,7 @@ __all__ = [
     "delta_f",
     "scale_form",
     "is_discriminant",
+    "require_discriminant",
     "unit_count",
     "fundamental_part",
 ]
@@ -114,6 +115,12 @@ def is_discriminant(D: int) -> bool:
     return D >= 3 and D % 4 in (0, 3)
 
 
+def require_discriminant(D: int) -> None:
+    """The package's one refusal of a D for which -D is no discriminant."""
+    if not is_discriminant(D):
+        raise ValueError(f"D = {D} is not a discriminant (need D >= 3, D = 0 or 3 mod 4)")
+
+
 def unit_count(D: int) -> int:
     """Units of the order of discriminant -D: 6 at D=3, 4 at D=4, else 2."""
     if D == 3:
@@ -151,8 +158,7 @@ def enumerate_class_set(D: int) -> FormClassSet:
     """
     if D > D_MAX:
         raise ValueError(f"D = {D} exceeds D_MAX = {D_MAX}")
-    if not is_discriminant(D):
-        raise ValueError(f"-{D} is not a discriminant (need D >= 3, D = 0, 3 mod 4)")
+    require_discriminant(D)
     forms = []
     for a in range(1, math.isqrt(D // 3) + 1):
         for b in range(-a, a + 1):
@@ -237,8 +243,7 @@ def fundamental_part(D: int) -> tuple[int, int]:
     and k = prod p^(e // 2), D = d0 k^2, and -d0 is fundamental when
     d0 = 3 mod 4; otherwise k is even (D = 0 mod 4) and |Delta| = 4 d0.
     """
-    if not is_discriminant(D):
-        raise ValueError(f"-{D} is not a discriminant")
+    require_discriminant(D)
     d0, k = 1, 1
     for p, e in factorize(D):
         d0 *= p ** (e % 2)

@@ -273,12 +273,9 @@ def root_set(f: Form, ell: int) -> tuple[int, ...]:
     number.  Found per prime factor p by one int64 scan of m < p (memoised by
     f mod p; (a m + b) m + c < p^3 < 2^63 as p < 2^21), combined by CRT."""
     _require_squarefree(ell)
-    if ell == 1:
-        return (0,)
-    factors = [p for p, _ in factorize(ell)]
     roots = [0]
     mod = 1
-    for p in factors:
+    for p, _ in factorize(ell):
         p_roots = _prime_roots(f.a % p, f.b % p, f.c % p, p)
         # CRT: x = r (mod), x = rp (p); gcd(mod, p) = 1 as l is squarefree
         inv = pow(mod, -1, p)

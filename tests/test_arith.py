@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from bqfsieve import arith
 from bqfsieve.arith import (CellMemo, big_omega_upto, divisors, factorize, kronecker,
                             mult_functions, prime_table, primes_upto, sieve_primes,
-                            spf_upto)
+                            spf_block)
 
 
 def brute_is_square_mod(m, p):
@@ -158,7 +158,6 @@ def trial_division_prime(n):
 def fresh_tables(monkeypatch):
     """An empty set of shared tables, and a log of every sieve_primes build."""
     monkeypatch.setattr(arith, "_mask", np.zeros(0, dtype=bool))
-    monkeypatch.setattr(arith, "_spf", np.zeros(0, dtype=np.int32))
     monkeypatch.setattr(arith, "_omega", np.zeros(0, dtype=np.uint8))
     builds = []
     kernel = arith.sieve_primes
@@ -202,7 +201,7 @@ def test_prime_table_cap(fresh_tables):
 
 def test_spf_and_omega_against_factorize(fresh_tables):
     N = 10**5
-    spf = spf_upto(N)
+    spf = spf_block(0, N + 1)
     omega = big_omega_upto(N)
     assert spf[0] == 0 and spf[1] == 1 and omega[0] == 0 and omega[1] == 0
     for n in range(2, N + 1):
@@ -213,7 +212,7 @@ def test_spf_and_omega_against_factorize(fresh_tables):
 
 def test_spf_and_omega_blocks_straddling_2_20(fresh_tables):
     lo, hi = 2**20 - 3000, 2**20 + 3000
-    block = arith._spf_block(lo, hi)
+    block = spf_block(lo, hi)
     # Omega grown from a prefix: its next block [10^6 + 1, 2 10^6 + 1)
     # straddles 2^20
     big_omega_upto(10**6)
@@ -231,8 +230,8 @@ def test_tables_hold_python_ints_and_read_only_arrays(fresh_tables):
     assert all(type(p) is int for p in ps)
     assert all(type(p) is int for p, _ in factorize(2**3 * 3 * 999983))
     assert primes_upto(1) == [] and primes_upto(2) == [2]
-    arrays = (prime_table(100), sieve_primes(100), spf_upto(100),
-              arith._spf_block(50, 100), big_omega_upto(100))
+    arrays = (prime_table(100), sieve_primes(100), spf_block(0, 101),
+              spf_block(50, 100), big_omega_upto(100))
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -241,20 +240,19 @@ def test_tables_hold_python_ints_and_read_only_arrays(fresh_tables):
 
 def test_ascending_requests_rebuild_logarithmically(fresh_tables):
     top = 2 * 10**6
-    spf = omega = None
-    spf_builds = omega_builds = 0
+    omega = None
+    omega_builds = 0
     for n in range(1000, top + 1, 1000):
         prime_table(n)
         assert primes_upto(n // 100)[-1] <= n // 100
-        grown = spf_upto(n // 4), big_omega_upto(n // 4)
-        spf_builds += grown[0] is not spf
-        omega_builds += grown[1] is not omega
-        spf, omega = grown
+        grown = big_omega_upto(n // 4)
+        omega_builds += grown is not omega
+        omega = grown
     # the mask: 2^16 cells, then doubled up to 2^21 >= top
     assert fresh_tables == [1 << k for k in range(16, 22)]
-    # spf and Omega: up to 250, then doubled up to 512,000 >= top / 4
-    assert spf_builds == omega_builds == 12
-    assert len(spf) == len(omega) == 250 * 2**11 + 1
+    # Omega: up to 250, then doubled up to 512,000 >= top / 4
+    assert omega_builds == 12
+    assert len(omega) == 250 * 2**11 + 1
 
 
 def test_presized_sweep_builds_once(fresh_tables):

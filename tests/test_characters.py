@@ -17,6 +17,7 @@ from bqfsieve.characters import (EULER_GAMMA, ErrorFunctionals,
                                  family, scan_discriminant,
                                  sum_local_densities, weighted_dirichlet_sums)
 from bqfsieve.forms import D_MAX, Form, enumerate_class_set, fundamental_part
+from bqfsieve.lattice import local_density_g
 
 
 def test_char_prefix_sums_examples():
@@ -259,6 +260,14 @@ def test_L_values_rejects_non_discriminant():
         L_values(7**2 - 48)  # 1 is not a discriminant
 
 
+def test_one_refusal_for_a_non_discriminant():
+    want = "D = 5 is not a discriminant (need D >= 3, D = 0 or 3 mod 4)"
+    for refuse in (char_profile, fundamental_part, enumerate_class_set):
+        with pytest.raises(ValueError) as err:
+            refuse(5)
+        assert str(err.value) == want, refuse
+
+
 def test_L1_positive_at_desk_scale():
     for D in range(3, 500):
         if D % 4 in (0, 3):
@@ -357,10 +366,37 @@ def test_error_functional_reported_values_are_upper_bounds():
     assert brute1 <= ef.E1 + math.log(x) * prof.s_max * (1 + math.log(N)) / N + 1e-9
 
 
+def loop_y_grid(limit, ratio):
+    # the grid as a loop: the running products <= limit, rounded, and floor(limit)
+    ys = set()
+    y = 1.0
+    while y <= limit:
+        ys.add(int(round(y)))
+        y *= ratio
+    ys.add(max(int(limit), 1))
+    return np.array(sorted(v for v in ys if 1 <= v <= limit), dtype=np.int64)
+
+
+def test_y_grid_against_loop():
+    rng = np.random.default_rng(11)
+    limits = ([1, 1.05, 2.3, 6.7e5, 1e7, 2e8] + [k / 2 for k in range(6000)]
+              + (10 ** rng.uniform(0, 8.3, 500)).tolist())
+    for ratio in (1.1, math.sqrt(1.1)):
+        for limit in limits:
+            ys, want = _y_grid(limit, ratio), loop_y_grid(limit, ratio)
+            assert ys.dtype == want.dtype and np.array_equal(ys, want), (ratio, limit)
+
+
 def test_sum_local_densities_edges():
     f = Form(1, 0, 1)
-    assert sum_local_densities(f, 1).sum == 0.0
-    assert sum_local_densities(f, 2).sum == 1.0
+    lv = L_values(f.D)
+    g2 = float(local_density_g(f, 2))
+    # the l < z: none at z = 1, l = 1 up to z = 2, then l = 1, 2
+    for z, want in ((1, 0.0), (1.5, 1.0), (2, 1.0), (2.0, 1.0), (3.0, 1.0 + g2)):
+        sl = sum_local_densities(f, z)
+        assert sl.sum == want, z
+        assert sl.residual == want - (lv.L1 * math.log(z) + lv.L1_prime), z
+    assert sum_local_densities(f, 1).residual == -lv.L1_prime
 
 
 def test_sum_local_densities_residual():

@@ -50,6 +50,11 @@ def test_classgroup_command(capsys):
     assert len(lines) == 4 and lines[-1] == "h(-23) = 3, w = 2"
     code, _, err = run_cli(capsys, "classgroup", "5")
     assert code == 2
+    # D is printed as given: no "--7" for -7
+    for D in ("-7", "0"):
+        code, _, err = run_cli(capsys, "classgroup", D)
+        assert code == 2 and err == (f"error: D = {D} is not a discriminant"
+                                     " (need D >= 3, D = 0 or 3 mod 4)\n")
 
 
 def test_count_command(capsys):

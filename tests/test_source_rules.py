@@ -1,5 +1,6 @@
 """Rules for the library source, read from its syntax tree: invariants are
-raised as exceptions (an `assert` vanishes under `python -O`), no input is
+raised as exceptions (an `assert` vanishes under `python -O`) and as
+RuntimeError (an AssertionError reads as a failed assert), no input is
 run as code (rules are parsed and walked, never evaluated), and no handler
 swallows every exception (a bare `except:` also catches KeyboardInterrupt
 and a worker's SystemExit).  Work is spread over processes in one place,
@@ -12,7 +13,9 @@ theorem bound.  SciPy serves two functions, `digamma` in `characters` and
 `expi` inside `cli._Li`, and no other import of it is admitted, so the
 package's use of SciPy grows no further than those two.  No module imports
 another module's underscore name (`from .lattice import _rows`): what one
-module keeps private, no other module builds on."""
+module keeps private, no other module builds on.  Process-wide state is the
+two tables a workload reads across rows, so a `global` statement appears in
+`arith` alone and names only the prime mask or the Omega table."""
 
 import ast
 from pathlib import Path
@@ -27,6 +30,8 @@ SIEVE = "selberg_upper_bound"
 THEOREM_CALLS = {"pi_f", "pi_f_interval", "theorem_rhs"}
 # each SciPy name a module may import: (file, enclosing function, None for any)
 SCIPY_NAMES = {"digamma": ("characters.py", None), "expi": ("cli.py", "_Li")}
+TABLE_MODULE = "arith.py"
+SHARED_TABLES = {"_mask", "_omega"}
 
 
 def _violations(path: Path) -> list[str]:
@@ -42,6 +47,13 @@ def _violations(path: Path) -> list[str]:
             out.append(f"{where}: call to {node.func.id}")
         elif isinstance(node, ast.ExceptHandler) and node.type is None:
             out.append(f"{where}: bare except")
+        elif (isinstance(node, ast.Raise) and node.exc is not None
+              and "AssertionError" in _names(getattr(node.exc, "func", node.exc))):
+            out.append(f"{where}: raise AssertionError")
+        elif isinstance(node, ast.Global):
+            out.extend(f"{where}: global {name} outside the shared tables"
+                       for name in node.names
+                       if path.name != TABLE_MODULE or name not in SHARED_TABLES)
         elif "ProcessPoolExecutor" in _names(node) and path.name != POOL_MODULE:
             out.append(f"{where}: process pool outside {POOL_MODULE}")
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -119,7 +131,9 @@ def test_rules_catch_each_pattern(tmp_path):
                     "    selberg_system(f, z)\n"
                     "import scipy.special\nfrom scipy.special import digamma\n"
                     "from .lattice import (EllipseWindow, _row_span,\n    _row_values)\n"
-                    "from . import __version__\nfrom .arith import MASK_CAP\n")
+                    "from . import __version__\nfrom .arith import MASK_CAP\n"
+                    "raise AssertionError\nraise AssertionError('x')\n"
+                    "raise RuntimeError('x')\nglobal _mask\n")
     assert [v.split(": ", 1)[1] for v in _violations(path)] == [
         "assert statement", "call to eval", "call to exec", "call to compile",
         "bare except", "process pool outside arith.py",
@@ -130,14 +144,18 @@ def test_rules_catch_each_pattern(tmp_path):
         "theorem_rhs inside selberg_upper_bound",
         "scipy import other than ['digamma', 'expi']",
         "scipy import other than ['digamma', 'expi']",
-        "private name _row_span from .lattice", "private name _row_values from .lattice"]
+        "private name _row_span from .lattice", "private name _row_values from .lattice",
+        "raise AssertionError", "raise AssertionError",
+        "global _mask outside the shared tables"]
     # the two admitted imports, each only where it is admitted
     for name, text in (("characters.py", "from scipy.special import bernoulli, digamma\n"
                                          "def f():\n    from scipy.special import digamma\n"),
                        ("cli.py", "from scipy.special import expi\n"
                                   "def _Li():\n    from scipy.special import expi\n"
-                                  "def g():\n    from scipy.special import expi\n")):
+                                  "def g():\n    from scipy.special import expi\n"),
+                       ("arith.py", "def f():\n    global _mask, _omega\n"
+                                    "def g():\n    global _omega, _spf\n")):
         path = tmp_path / name
         path.write_text(text)
         assert [v.split(":")[1] for v in _violations(path)] == {
-            "characters.py": ["1"], "cli.py": ["1", "5"]}[name]
+            "characters.py": ["1"], "cli.py": ["1", "5"], "arith.py": ["4"]}[name]
