@@ -11,7 +11,9 @@ exploits that periodicity:
     periods, and the tail of each residue class is closed by
     Euler-Maclaurin; the reported error bound is the Euler-Maclaurin
     remainder plus a worst-case float-rounding term.  Both L values take
-    O(D) work.
+    O(D) work, L(1,chi) about a tenth of it: a profile computes L(1,chi) on
+    its first L-value read and L'(1,chi) with its bound on the first read
+    of either, so the class number identity pays for L(1,chi) alone.
   * int_y^inf S(t)/t^2 dt, the tail integral of a D-periodic step function,
     has the closed form (1/D) sum_s S(y+s) [psi((y+s+1)/D) - psi((y+s)/D)].
   * E0(x) = min_y (y^2/x + |S(y)| + x int_y^inf |S|/t^2 dt) and its log
@@ -31,7 +33,6 @@ from functools import cached_property, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import digamma
 
 from .arith import CellMemo, primes_upto, spf_block, worker_map
 from .forms import D_MAX, Q_MAX, Form, is_discriminant, require_discriminant, unit_count
@@ -91,13 +92,6 @@ def _chi_period(D: int) -> np.ndarray:
     return chi
 
 
-@dataclass(frozen=True)
-class LValues:
-    L1: float
-    L1_prime: float
-    error_bound: float
-
-
 def _em_coefficients(q: int) -> np.ndarray:
     """B_2j/(2j) for j = 1..q, each rounded once from the exact Fraction, with
     B_m from sum_{k<=m} C(m+1, k) B_k = 0 and B_0 = 1."""
@@ -113,17 +107,99 @@ def _em_coefficients(q: int) -> np.ndarray:
 # log u * P(s) - Q(s) with the coefficients below.
 _EM_PERIODS = 8
 _EM_ORDER = 10
-_SUM_CELLS = 1 << 20  # the direct sum takes max(1, _SUM_CELLS // D) periods at a time
+# L'(1,chi) takes _SUM_CELLS residue classes at a time, and their direct sum
+# max(1, _SUM_CELLS // D) periods at a time
+_SUM_CELLS = 1 << 20
 _EM_B = _em_coefficients(_EM_ORDER)
 _EM_H = np.cumsum(1 / np.arange(1, 2 * _EM_ORDER + 1))
 _EM_P = np.append(_EM_B[::-1], 0.0)
 _EM_Q = np.append((_EM_B * _EM_H[0::2])[::-1], 0.0)
 
 
+def _digamma(x):
+    """SciPy's digamma, imported on first use: importing the package, and
+    every `verify` row, loads no SciPy."""
+    from scipy.special import digamma
+
+    return digamma(x)
+
+
+class LValues:
+    """L(1,chi) for the period chi[0..D], computed at once in one digamma
+    pass; L'(1,chi) and its error_bound are computed together on the first
+    read of either (see `L_values`)."""
+
+    def __init__(self, chi: np.ndarray):
+        self._chi = chi
+        D = len(chi) - 1
+        psi = _digamma(np.arange(1, D + 1, dtype=np.float64) / D)
+        psi *= chi[1:]
+        self.L1 = -float(np.sum(psi)) / D
+
+    @property
+    def L1_prime(self) -> float:
+        return self._derivative[0]
+
+    @property
+    def error_bound(self) -> float:
+        return self._derivative[1]
+
+    @cached_property
+    def _derivative(self) -> tuple[float, float]:
+        chi = self._chi
+        D, N, q = len(chi) - 1, _EM_PERIODS, _EM_ORDER
+        y = N * D
+        log_y = math.log(y)
+        step = max(1, _SUM_CELLS // D)
+        partial = 0.0
+        # _SUM_CELLS residue classes at a time: one block, as one sum, for
+        # D <= 2^20, whose direct sum is one block for D <= 2^17
+        for lo in range(0, D, _SUM_CELLS):
+            hi = min(lo + _SUM_CELLS, D)
+            r = np.arange(lo + 1, hi + 1, dtype=np.float64)
+            c = chi[lo + 1:hi + 1].astype(np.float64)
+            for k in range(0, N, step):  # n = r (mod D) in periods k, k+1, ...
+                kk = min(k + step, N)  # (lo = 0 when step > 1)
+                n = np.arange(k * D + lo + 1, (kk - 1) * D + hi + 1, dtype=np.float64)
+                n = n.reshape(kk - k, -1)
+                partial += float(np.sum(np.log(n) / n * c))
+            # log u = log y + log1p(r/y) keeps the cancelling log^2 u terms well
+            # conditioned: -(1/2D) sum chi log^2 u = -(1/D) sum chi (log y ell + ell^2/2)
+            ell = np.log1p(r / y)
+            u = y + r
+            log_u = log_y + ell
+            s = (D / u) ** 2
+            em = log_u * np.polyval(_EM_P, s) - np.polyval(_EM_Q, s)
+            tail = (em - log_y * ell - ell * ell / 2) / D + log_u / (2 * u)
+            partial += float(np.sum(tail * c))
+        L1p = -partial
+
+        # |h^(2q)(v)| <= (2q)! (log v + H_2q) / v^(2q+1) and D/u <= 1/N
+        remainder = (abs(_EM_B[-1]) / N ** (2 * q)
+                     * (math.log(y + D) + _EM_H[-1] + 1 / (2 * q)))
+        # sum_{n<=y} log n/n <= log^2 y/2 + 1, and the tail pieces add at most
+        # 2 log(y+D)/N + 1 in absolute value (ell <= 1/N, u >= y)
+        mass = log_y**2 / 2 + 2 + 2 * math.log(y + D) / N
+        rounding = (y + D + 4 * q + 16) * np.finfo(np.float64).eps * mass
+        return L1p, remainder + rounding
+
+    def _values(self) -> tuple[float, float, float]:
+        return self.L1, self.L1_prime, self.error_bound
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LValues) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "LValues(L1=%r, L1_prime=%r, error_bound=%r)" % self._values()
+
+
 class CharacterProfile:
-    """Period-level data for chi_{-D}: values, prefix sums, the exact
-    period statistics (max, mean, cumulative deviation) that certify every
-    tail truncation, and the L-values once read."""
+    """Period-level data for chi_{-D}: values and prefix sums at once; the
+    exact period statistics of |S| (max, mean, cumulative deviation) that
+    certify every tail truncation, and the L-values, each on its first read."""
 
     def __init__(self, D: int):
         require_discriminant(D)
@@ -138,47 +214,31 @@ class CharacterProfile:
         self.S_mod = np.empty(D, dtype=np.min_scalar_type(-D))
         self.S_mod[1:] = csum[:-1]
         self.S_mod[0] = 0
-        self.abs_S = np.abs(self.S_mod)
-        for arr in (self.chi, self.S_mod, self.abs_S):  # shared through the memo
+        for arr in (self.chi, self.S_mod):  # shared through the memo
             arr.setflags(write=False)
-        self.s_max = int(np.max(self.abs_S))
-        self._mu_absS = float(np.sum(self.abs_S)) / D
-        self._r_dev_absS = self._max_cum_deviation(self.abs_S, self._mu_absS)
+
+    @cached_property
+    def abs_S(self) -> np.ndarray:
+        abs_S = np.abs(self.S_mod)
+        abs_S.setflags(write=False)
+        return abs_S
+
+    @cached_property
+    def s_max(self) -> int:
+        return int(np.max(self.abs_S))
+
+    @cached_property
+    def _mu_absS(self) -> float:
+        return float(np.sum(self.abs_S)) / self.D
+
+    @cached_property
+    def _r_dev_absS(self) -> float:
+        return self._max_cum_deviation(self.abs_S, self._mu_absS)
 
     @cached_property
     def lvals(self) -> LValues:
-        """L(1,chi) and L'(1,chi), computed once per profile; see `L_values`."""
-        D, N, q = self.D, _EM_PERIODS, _EM_ORDER
-        chi = self.chi[1:].astype(np.float64)
-        r = np.arange(1, D + 1, dtype=np.float64)
-        L1 = -float(np.sum(chi * digamma(r / D))) / D
-
-        y = N * D
-        step = max(1, _SUM_CELLS // D)  # one block, as one sum, for D <= 2^17
-        partial = 0.0
-        for k in range(0, N, step):
-            n = np.arange(k * D + 1, min(k + step, N) * D + 1, dtype=np.float64)
-            n = n.reshape(-1, D)
-            partial += float(np.sum(np.log(n) / n * chi))
-        # log u = log y + log1p(r/y) keeps the cancelling log^2 u terms well
-        # conditioned: -(1/2D) sum chi log^2 u = -(1/D) sum chi (log y ell + ell^2/2)
-        ell = np.log1p(r / y)
-        log_y = math.log(y)
-        u = y + r
-        log_u = log_y + ell
-        s = (D / u) ** 2
-        em = log_u * np.polyval(_EM_P, s) - np.polyval(_EM_Q, s)
-        tail = (em - log_y * ell - ell * ell / 2) / D + log_u / (2 * u)
-        L1p = -(partial + float(np.sum(tail * chi)))
-
-        # |h^(2q)(v)| <= (2q)! (log v + H_2q) / v^(2q+1) and D/u <= 1/N
-        remainder = (abs(_EM_B[-1]) / N ** (2 * q)
-                     * (math.log(y + D) + _EM_H[-1] + 1 / (2 * q)))
-        # sum_{n<=y} log n/n <= log^2 y/2 + 1, and the tail pieces add at most
-        # 2 log(y+D)/N + 1 in absolute value (ell <= 1/N, u >= y)
-        mass = log_y**2 / 2 + 2 + 2 * math.log(y + D) / N
-        rounding = (y + D + 4 * q + 16) * np.finfo(np.float64).eps * mass
-        return LValues(L1=L1, L1_prime=L1p, error_bound=remainder + rounding)
+        """The L-values, built once per profile; see `L_values`."""
+        return LValues(self.chi)
 
     @staticmethod
     def _max_cum_deviation(vals: np.ndarray, mu: float) -> float:
@@ -195,7 +255,7 @@ class CharacterProfile:
         D = self.D
         # one psi per grid point (y+s)/D, s = 0..D: the upper end of cell s
         # is the lower end of cell s+1
-        psi = digamma((ys[:, None] + np.arange(D + 1.0)) / D)
+        psi = _digamma((ys[:, None] + np.arange(D + 1.0)) / D)
         diff = psi[:, 1:] - psi[:, :-1]
         # row i is vals[(y_i + s) % D], s = 0..D-1: a window of vals repeated
         windows = sliding_window_view(np.concatenate([vals, vals]), D)
@@ -220,7 +280,9 @@ def char_prefix_sums(D: int, T: int) -> np.ndarray:
 
 
 def L_values(D: int) -> LValues:
-    """L(1,chi) and L'(1,chi) for chi = chi_{-D}, with O(D) work.
+    """L(1,chi) and L'(1,chi) for chi = chi_{-D}, with O(D) work, held by
+    chi's profile: L1 is computed on the first call, L1_prime and
+    error_bound together on the first read of either.
 
     L1 = -(1/D) sum_{r<=D} chi(r) psi(r/D).  L1_prime = -sum_n chi(n) h(n)
     with h(u) = log(u)/u, summed directly for n <= y = N D.  The tail of each
@@ -228,7 +290,8 @@ def L_values(D: int) -> LValues:
     Euler-Maclaurin (Cohen, Number Theory II, GTM 240, ch. 9) using
     h^(k)(u) = (-1)^k k! (log u - H_k) / u^(k+1).  The divergent integral
     terms cancel over the classes because sum_r chi(r) = 0, which leaves
-    -(1/2D) sum_r chi(r) log^2 u.
+    -(1/2D) sum_r chi(r) log^2 u.  Both sums take _SUM_CELLS = 2^20 residue
+    classes at a time, so no array of L1_prime holds more than 2^20 cells.
 
     error_bound bounds the error of L1_prime.  It is the Euler-Maclaurin
     remainder, (|B_2q|/(2q)!) int |g^(2q)| summed over the classes, plus the

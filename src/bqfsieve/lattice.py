@@ -258,6 +258,8 @@ def count_A_ell(window: EllipseWindow, ell: int) -> int:
 def count_B_ell(window: EllipseWindow, ell: int) -> int:
     """|B_l| = #{(u,v) in A : gcd(v,l) = 1, f(u,v) = 0 mod l}."""
     _require_squarefree(ell)
+    if ell == 1:  # every v is coprime to 1 and every point a root: |B_1| = |A|
+        return count_A(window)
     v, _, _, counts = _residue_rows(window, ell)
     return int(counts[np.gcd(v, ell) == 1].sum())
 
@@ -316,6 +318,10 @@ def count_congruence(window: EllipseWindow, ell: int) -> CongruenceCount:
     scanned.
     """
     _require_squarefree(ell)
+    if ell == 1:  # every count is |A|: each v is coprime to 1, and 0 the one root
+        n = count_A(window)
+        return CongruenceCount(a_ell=n, a_ell_by_d={1: n}, b_ell=n, b_ell_by_m={0: n},
+                               roots=(0,))
     v, lo, hi, counts = _residue_rows(window, ell)
     roots = root_set(window.f, ell)
     g = np.gcd(v, ell)

@@ -130,16 +130,19 @@ def test_L_values_against_mpmath():
         assert abs(lv.L1_prime - L1p) <= lv.error_bound <= 1e-7, D
 
 
-@pytest.mark.parametrize("periods", [1, 3, 5])
+@pytest.mark.parametrize("periods", [1, 3, 5, pytest.param(1 / 3, id="1/3")])
 def test_L_values_blocked_sum_matches_one_block(monkeypatch, periods):
-    # a few periods per block, as every D > 2^17 sums them, against one block
+    # a few periods per block, as every D in (2^17, 2^20] sums them, or a
+    # third of the residue classes per block, as every D > 2^20 takes its
+    # tail and its direct sum, against one block
     for D in (23, 300, 2003):
         whole = L_values(D)
-        monkeypatch.setattr(characters, "_SUM_CELLS", periods * D)
+        want = (whole.L1, whole.L1_prime, whole.error_bound)  # before the patch
+        monkeypatch.setattr(characters, "_SUM_CELLS", int(periods * D))
         monkeypatch.delattr(char_profile(D), "lvals")
         blocked = L_values(D)
-        assert (blocked.L1, blocked.error_bound) == (whole.L1, whole.error_bound), D
-        assert abs(blocked.L1_prime - whole.L1_prime) <= 1e-13, D
+        assert (blocked.L1, blocked.error_bound) == (want[0], want[2]), D
+        assert abs(blocked.L1_prime - want[1]) <= 1e-13, D
         monkeypatch.undo()
 
 
@@ -151,7 +154,7 @@ def test_L_values_computed_once_per_profile(monkeypatch):
         calls.append(np.size(x))
         return digamma(x)
 
-    monkeypatch.setattr(characters, "digamma", counted)
+    monkeypatch.setattr(characters, "_digamma", counted)
     D = 2003
     lv = L_values(D)
     assert len(calls) == 1          # L1 is the only digamma pass of lvals
@@ -159,6 +162,59 @@ def test_L_values_computed_once_per_profile(monkeypatch):
     sum_local_densities(Form(1, 1, 501), 10.0)
     class_number_estimate(D)
     assert len(calls) == 1
+
+
+def test_class_number_estimate_computes_L1_alone():
+    # L1 at once; L1_prime and error_bound together, on the first read of either
+    characters._profile_cache.cache_clear()
+    D = 2003
+    class_number_estimate(D)
+    lv = L_values(D)
+    assert "_derivative" not in vars(lv)
+    lv.error_bound
+    assert "_derivative" in vars(lv)
+    assert lv.L1_prime == lv._derivative[0]
+
+
+def test_profile_computes_no_abs_S_statistic_until_read():
+    stats = {"abs_S", "s_max", "_mu_absS", "_r_dev_absS", "lvals"}
+    prof = characters.CharacterProfile(2003)
+    assert stats.isdisjoint(vars(prof))
+    assert prof.s_max == int(np.max(np.abs(prof.S_mod.astype(np.int64))))
+    assert stats & vars(prof).keys() == {"abs_S", "s_max"}
+    assert not prof.abs_S.flags.writeable
+
+
+def _L_values_unblocked(D):
+    """(L1, L1_prime, error_bound) by the one-block formulas: one digamma sum,
+    then N periods summed directly and the Euler-Maclaurin tail in one array."""
+    N, q = characters._EM_PERIODS, characters._EM_ORDER
+    chi = char_profile(D).chi[1:].astype(np.float64)
+    r = np.arange(1, D + 1, dtype=np.float64)
+    L1 = -float(np.sum(chi * digamma(r / D))) / D
+    y = N * D
+    n = np.arange(1, N * D + 1, dtype=np.float64).reshape(-1, D)
+    partial = float(np.sum(np.log(n) / n * chi))
+    ell = np.log1p(r / y)
+    log_y = math.log(y)
+    u = y + r
+    log_u = log_y + ell
+    s = (D / u) ** 2
+    em = (log_u * np.polyval(characters._EM_P, s)
+          - np.polyval(characters._EM_Q, s))
+    tail = (em - log_y * ell - ell * ell / 2) / D + log_u / (2 * u)
+    L1p = -(partial + float(np.sum(tail * chi)))
+    remainder = (abs(characters._EM_B[-1]) / N ** (2 * q)
+                 * (math.log(y + D) + characters._EM_H[-1] + 1 / (2 * q)))
+    mass = log_y**2 / 2 + 2 + 2 * math.log(y + D) / N
+    rounding = (y + D + 4 * q + 16) * np.finfo(np.float64).eps * mass
+    return L1, L1p, remainder + rounding
+
+
+def test_L_values_bit_identical_to_the_unblocked_formulas():
+    for D in family(2000):
+        lv = L_values(D)
+        assert (lv.L1, lv.L1_prime, lv.error_bound) == _L_values_unblocked(D), D
 
 
 def test_profile_memo_is_bounded_by_period_cells(monkeypatch):

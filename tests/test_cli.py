@@ -673,6 +673,26 @@ def test_memory_sized_window_exits_2_before_allocating(command):
     assert int(proc.stdout) < 1 << 20
 
 
+_SCIPY_CHILD = """
+import contextlib, io, sys
+import bqfsieve.cli
+loaded = ["scipy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = bqfsieve.cli.main(["verify", "--Q", "30"])
+loaded.append("scipy" in sys.modules)
+print(code, *loaded)
+"""
+
+
+def test_verify_loads_no_scipy():
+    # SciPy serves the L-values and the tail grid alone, imported on first use
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_CHILD],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["0", "False", "False"], proc.stderr
+
+
 @pytest.mark.parametrize("argv, message", [
     (("1", "1", "3000000", "2e8"), "exceeds D_MAX"),  # D = 11,999,999
     (("1", "0", "1", "1e8", "--y", "5"), "need (ax)^(1/2) <= y <= x"),

@@ -153,6 +153,27 @@ def test_reduced_forms_upto_matches_enumerate_class_set(Q):
     assert list(zip(*(col.tolist() for col in cols))) == expect
 
 
+def _scan_every_b(D):
+    """Oracle: every b in [-a, a], both parities, for each a <= sqrt(D/3)."""
+    out = []
+    for a in range(1, math.isqrt(D // 3) + 1):
+        for b in range(-a, a + 1):
+            if (b * b + D) % (4 * a):
+                continue
+            c = (b * b + D) // (4 * a)
+            if c >= a and not (b < 0 and (-b == a or a == c)) and math.gcd(a, b, c) == 1:
+                out.append(Form(a, b, c))
+    return tuple(sorted(out))
+
+
+def test_enumerate_class_set_matches_a_scan_of_every_b():
+    # the walk keeps b = D (mod 2) alone, as 4 | b^2 + D forces it
+    for D in range(3, 3001):
+        if is_discriminant(D):
+            cs = enumerate_class_set(D)
+            assert cs.reduced_forms == _scan_every_b(D) and cs.h == len(cs.reduced_forms), D
+
+
 def test_reduced_forms_upto_rejects_small_Q():
     with pytest.raises(ValueError):
         reduced_forms_upto(2)
