@@ -146,7 +146,7 @@ class LValues:
 
     @cached_property
     def _derivative(self) -> tuple[float, float]:
-        chi = self._chi
+        chi = self.__dict__.pop("_chi")  # held only until L'(1,chi) is known
         D, N, q = len(chi) - 1, _EM_PERIODS, _EM_ORDER
         y = N * D
         log_y = math.log(y)

@@ -218,8 +218,6 @@ def _residue_rows(window: EllipseWindow, ell: int):
     before any is built.  The caller checks l (`_require_squarefree`).
     """
     v, lo, hi = window.rows
-    if ell == 1:  # every (u, v) is a root mod 1: no table
-        return v, lo, hi, hi - lo + 1
     f = window.f
     a, b, c = f.a % ell, f.b % ell, f.c % ell
     vbar = v % ell
@@ -252,6 +250,8 @@ def _block_counts(P: np.ndarray, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 def count_A_ell(window: EllipseWindow, ell: int) -> int:
     """|A_l| alone (cheaper than the full decomposition)."""
     _require_squarefree(ell)
+    if ell == 1:  # every point is a root mod 1: |A_1| = |A|
+        return count_A(window)
     return int(_residue_rows(window, ell)[3].sum())
 
 

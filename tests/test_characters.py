@@ -165,14 +165,15 @@ def test_L_values_computed_once_per_profile(monkeypatch):
 
 
 def test_class_number_estimate_computes_L1_alone():
-    # L1 at once; L1_prime and error_bound together, on the first read of either
+    # L1 at once; L1_prime and error_bound together, on the first read of
+    # either, after which the object no longer holds chi
     characters._profile_cache.cache_clear()
     D = 2003
     class_number_estimate(D)
     lv = L_values(D)
     assert "_derivative" not in vars(lv)
     lv.error_bound
-    assert "_derivative" in vars(lv)
+    assert "_derivative" in vars(lv) and "_chi" not in vars(lv)  # chi released
     assert lv.L1_prime == lv._derivative[0]
 
 

@@ -172,7 +172,7 @@ def test_count_congruence_examples():
 
 def test_modulus_one_takes_the_residue_path_without_a_block():
     # at l = 1 every point is a root: each count is |A|, and no prefix block
-    # is built or touched (count_A_ell on the residue path, the others on |A|)
+    # is built or touched
     kept = list(lattice._prefix_block.kept)
     for f, x in ((Form(1, 0, 1), 10), (Form(2, 1, 3), 1000), (Form(1, 1, 262144), 1e12)):
         w = EllipseWindow.of(f, x)
@@ -185,8 +185,9 @@ def test_modulus_one_takes_the_residue_path_without_a_block():
 
 
 def test_modulus_one_counts_are_count_A_and_a_brute_count(monkeypatch):
-    # every v is coprime to 1 and every u a root mod 1: count_congruence and
-    # count_B_ell read |A| from the rows, with no residue rows and no gcd
+    # every v is coprime to 1 and every u a root mod 1: count_congruence,
+    # count_A_ell and count_B_ell read |A| from the rows, with no residue rows
+    # and no gcd
     def no_residue_rows(window, ell):
         raise RuntimeError("l = 1 took the residue path")
 
@@ -198,8 +199,8 @@ def test_modulus_one_counts_are_count_A_and_a_brute_count(monkeypatch):
             cc = count_congruence(w, 1)
             assert (cc.a_ell, cc.a_ell_by_d, cc.b_ell, cc.b_ell_by_m, cc.roots) == (
                 n, {1: n}, n, {0: n}, (0,)), (f, x)
-            assert count_B_ell(w, 1) == n == count_A(w), (f, x)
-            assert type(cc.a_ell) is type(count_B_ell(w, 1)) is int
+            assert count_A_ell(w, 1) == count_B_ell(w, 1) == n == count_A(w), (f, x)
+            assert type(cc.a_ell) is type(count_A_ell(w, 1)) is type(count_B_ell(w, 1)) is int
             assert all(type(k) is int is type(v) for d in (cc.a_ell_by_d, cc.b_ell_by_m)
                        for k, v in d.items())
 

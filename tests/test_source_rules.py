@@ -151,7 +151,9 @@ def test_rules_catch_each_pattern(tmp_path):
     # the two admitted imports, each only where it is admitted
     for name, text in (("characters.py", "from scipy.special import digamma\n"
                                          "def _digamma():\n    from scipy.special import digamma\n"
-                                         "def f():\n    from scipy.special import digamma\n"),
+                                         "def f():\n    from scipy.special import digamma\n"
+                                         "def _digamma():\n"
+                                         "    from scipy.special import bernoulli, digamma\n"),
                        ("cli.py", "from scipy.special import expi\n"
                                   "def _Li():\n    from scipy.special import expi\n"
                                   "def g():\n    from scipy.special import expi\n"),
@@ -160,4 +162,4 @@ def test_rules_catch_each_pattern(tmp_path):
         path = tmp_path / name
         path.write_text(text)
         assert [v.split(":")[1] for v in _violations(path)] == {
-            "characters.py": ["1", "5"], "cli.py": ["1", "5"], "arith.py": ["4"]}[name]
+            "characters.py": ["1", "5", "7"], "cli.py": ["1", "5"], "arith.py": ["4"]}[name]
