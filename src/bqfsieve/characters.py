@@ -11,17 +11,21 @@ exploits that periodicity:
     periods, and the tail of each residue class is closed by
     Euler-Maclaurin; the reported error bound is the Euler-Maclaurin
     remainder plus a worst-case float-rounding term.  Both L values take
-    O(D) work, L(1,chi) about a tenth of it: a profile computes L(1,chi) on
-    its first L-value read and L'(1,chi) with its bound on the first read
-    of either, so the class number identity pays for L(1,chi) alone.
+    O(D) work, L(1,chi) about a tenth of it.
   * int_y^inf S(t)/t^2 dt, the tail integral of a D-periodic step function,
     has the closed form (1/D) sum_s S(y+s) [psi((y+s+1)/D) - psi((y+s)/D)].
   * E0(x) = min_y (y^2/x + |S(y)| + x int_y^inf |S|/t^2 dt) and its log
     variant E1(x) are evaluated on a geometric y-grid (ratio 1.1); the E1
     tail certificate is added so reported values are upper bounds.
 
+One `CharacterProfile` per D holds what is derived from chi: chi and S over
+one period are computed when it is built; |S| and its statistics, L(1,chi)
+(its L1), and L'(1,chi) with its bound (its _derivative, read through
+`L_values`) are each computed on their first read.
+
 The analytic class number identity h(-D) = w sqrt(D) L(1,chi) / (2 pi) ties
-this module to the reduced-form enumeration and is the main cross-check.
+this module to the reduced-form enumeration and is the main cross-check.  It
+reads the profile's L1 alone, so it pays for L(1,chi) alone.
 """
 
 from __future__ import annotations
@@ -71,11 +75,10 @@ def _chi_period(D: int) -> np.ndarray:
     """
     if D > D_MAX:  # first, before O(D) arrays; it also keeps the int64 squares exact
         raise ValueError(f"D = {D} exceeds D_MAX = {D_MAX}")
-    n = np.arange(D + 1)
     spf = spf_block(0, D + 1)
     chi = np.zeros(D + 1, dtype=np.int8)
     chi[1] = 1
-    p = n[3:][spf[3:] == n[3:]]
+    p = np.flatnonzero(spf[3:] == np.arange(3, D + 1, dtype=spf.dtype)) + 3  # int64
     b, e, r = -D % p, (p - 1) // 2, np.ones_like(p)
     while e.any():
         r = np.where(e & 1, r * b % p, r)
@@ -87,7 +90,7 @@ def _chi_period(D: int) -> np.ndarray:
     while lo <= D:
         hi = min(2 * lo, D + 1)
         q = spf[lo:hi]
-        chi[lo:hi] = chi[q] * chi[n[lo:hi] // q]
+        chi[lo:hi] = chi[q] * chi[np.arange(lo, hi, dtype=np.int32) // q]
         lo = hi
     return chi
 
@@ -116,38 +119,72 @@ _EM_P = np.append(_EM_B[::-1], 0.0)
 _EM_Q = np.append((_EM_B * _EM_H[0::2])[::-1], 0.0)
 
 
-def _digamma(x):
+def _digamma(x, out=None):
     """SciPy's digamma, imported on first use: importing the package, and
     every `verify` row, loads no SciPy."""
     from scipy.special import digamma
 
-    return digamma(x)
+    return digamma(x, out=out)
 
 
+@dataclass(frozen=True)
 class LValues:
-    """L(1,chi) for the period chi[0..D], computed at once in one digamma
-    pass; L'(1,chi) and its error_bound are computed together on the first
-    read of either (see `L_values`)."""
+    L1: float
+    L1_prime: float
+    error_bound: float
 
-    def __init__(self, chi: np.ndarray):
-        self._chi = chi
-        D = len(chi) - 1
-        psi = _digamma(np.arange(1, D + 1, dtype=np.float64) / D)
-        psi *= chi[1:]
-        self.L1 = -float(np.sum(psi)) / D
 
-    @property
-    def L1_prime(self) -> float:
-        return self._derivative[0]
+class CharacterProfile:
+    """Period-level data for chi_{-D}: values and prefix sums at once; the
+    exact period statistics of |S| (mean, cumulative deviation) that certify
+    every tail truncation, L(1,chi), and L'(1,chi) with its error bound, each
+    on its first read."""
 
-    @property
-    def error_bound(self) -> float:
-        return self._derivative[1]
+    def __init__(self, D: int):
+        require_discriminant(D)
+        self.D = D
+        self.chi = _chi_period(D)
+        # S(n) for n = r (mod D): S(D) = 0 lands in slot 0, as chi(0) = 0.
+        # |S(n)| <= n < D, so the narrowest signed type holding -D holds S and
+        # |S|, and sums them exactly (the profile cache keeps both)
+        self.S_mod = np.cumsum(self.chi[:D], dtype=np.min_scalar_type(-D))
+        if int(self.S_mod[-1]) + int(self.chi[D]) != 0:
+            raise RuntimeError(f"chi_(-{D}) is not mean-zero over its period")
+        for arr in (self.chi, self.S_mod):  # shared through the memo
+            arr.setflags(write=False)
+
+    @cached_property
+    def abs_S(self) -> np.ndarray:
+        abs_S = np.abs(self.S_mod)
+        abs_S.setflags(write=False)
+        return abs_S
+
+    @cached_property
+    def _mu_absS(self) -> float:
+        return float(np.sum(self.abs_S)) / self.D
+
+    @cached_property
+    def _r_dev_absS(self) -> float:
+        # max |sum over any window of (|S| - mu)|, windows up to one period
+        vals, mu = self.abs_S, self._mu_absS
+        dev = np.concatenate([[0.0], np.cumsum(np.concatenate([vals, vals]) - mu)])
+        return float(np.max(dev) - np.min(dev))
+
+    @cached_property
+    def L1(self) -> float:
+        """L(1,chi) in one digamma pass; see `L_values`."""
+        D = self.D
+        psi = np.arange(1, D + 1, dtype=np.float64)
+        psi /= D
+        _digamma(psi, out=psi)
+        psi *= self.chi[1:]
+        return -float(np.sum(psi)) / D
 
     @cached_property
     def _derivative(self) -> tuple[float, float]:
-        chi = self.__dict__.pop("_chi")  # held only until L'(1,chi) is known
-        D, N, q = len(chi) - 1, _EM_PERIODS, _EM_ORDER
+        """(L'(1,chi), its error bound); see `L_values`."""
+        chi = self.chi
+        D, N, q = self.D, _EM_PERIODS, _EM_ORDER
         y = N * D
         log_y = math.log(y)
         step = max(1, _SUM_CELLS // D)
@@ -181,70 +218,7 @@ class LValues:
         # 2 log(y+D)/N + 1 in absolute value (ell <= 1/N, u >= y)
         mass = log_y**2 / 2 + 2 + 2 * math.log(y + D) / N
         rounding = (y + D + 4 * q + 16) * np.finfo(np.float64).eps * mass
-        return L1p, remainder + rounding
-
-    def _values(self) -> tuple[float, float, float]:
-        return self.L1, self.L1_prime, self.error_bound
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LValues) and self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return "LValues(L1=%r, L1_prime=%r, error_bound=%r)" % self._values()
-
-
-class CharacterProfile:
-    """Period-level data for chi_{-D}: values and prefix sums at once; the
-    exact period statistics of |S| (max, mean, cumulative deviation) that
-    certify every tail truncation, and the L-values, each on its first read."""
-
-    def __init__(self, D: int):
-        require_discriminant(D)
-        self.D = D
-        self.chi = _chi_period(D)
-        csum = np.cumsum(self.chi[1:], dtype=np.int64)
-        if csum[-1] != 0:
-            raise RuntimeError(f"chi_(-{D}) is not mean-zero over its period")
-        # S(n) for n = r (mod D); S(D) = 0 lands in slot 0.  |S(n)| <= n < D,
-        # so the narrowest signed type holding -D holds S and |S| (the
-        # profile cache keeps both)
-        self.S_mod = np.empty(D, dtype=np.min_scalar_type(-D))
-        self.S_mod[1:] = csum[:-1]
-        self.S_mod[0] = 0
-        for arr in (self.chi, self.S_mod):  # shared through the memo
-            arr.setflags(write=False)
-
-    @cached_property
-    def abs_S(self) -> np.ndarray:
-        abs_S = np.abs(self.S_mod)
-        abs_S.setflags(write=False)
-        return abs_S
-
-    @cached_property
-    def s_max(self) -> int:
-        return int(np.max(self.abs_S))
-
-    @cached_property
-    def _mu_absS(self) -> float:
-        return float(np.sum(self.abs_S)) / self.D
-
-    @cached_property
-    def _r_dev_absS(self) -> float:
-        return self._max_cum_deviation(self.abs_S, self._mu_absS)
-
-    @cached_property
-    def lvals(self) -> LValues:
-        """The L-values, built once per profile; see `L_values`."""
-        return LValues(self.chi)
-
-    @staticmethod
-    def _max_cum_deviation(vals: np.ndarray, mu: float) -> float:
-        # max |sum over any window of (vals - mu)|, windows up to one period
-        dev = np.concatenate([[0.0], np.cumsum(np.concatenate([vals, vals]) - mu)])
-        return float(np.max(dev) - np.min(dev))
+        return L1p, float(remainder + rounding)
 
     def tail_quadratic_abs(self, y) -> "np.ndarray | float":
         """int_y^inf |S(t)|/t^2 dt = sum_{n>=y} |S(n)|/(n(n+1)), exactly."""
@@ -280,9 +254,10 @@ def char_prefix_sums(D: int, T: int) -> np.ndarray:
 
 
 def L_values(D: int) -> LValues:
-    """L(1,chi) and L'(1,chi) for chi = chi_{-D}, with O(D) work, held by
-    chi's profile: L1 is computed on the first call, L1_prime and
-    error_bound together on the first read of either.
+    """L(1,chi) and L'(1,chi) for chi = chi_{-D}, with O(D) work.  Chi's
+    profile holds them: its L1 is computed on the first read, here or by a
+    caller that reads L(1,chi) alone, and L1_prime with error_bound together
+    on the first call.
 
     L1 = -(1/D) sum_{r<=D} chi(r) psi(r/D).  L1_prime = -sum_n chi(n) h(n)
     with h(u) = log(u)/u, summed directly for n <= y = N D.  The tail of each
@@ -299,12 +274,13 @@ def L_values(D: int) -> LValues:
     (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2),
     with slack for the few operations that form each value.
     """
-    return char_profile(D).lvals
+    prof = char_profile(D)
+    return LValues(prof.L1, *prof._derivative)
 
 
 def class_number_estimate(D: int) -> tuple[int, float]:
     """(round(w sqrt(D) L1 / 2pi), pre-rounding residual)."""
-    L1 = L_values(D).L1
+    L1 = char_profile(D).L1
     val = unit_count(D) * math.sqrt(D) * L1 / (2 * math.pi)
     return round(val), abs(val - round(val))
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize
-
 __all__ = [
     "Form",
     "FormClassSet",
@@ -39,7 +37,6 @@ __all__ = [
     "is_discriminant",
     "require_discriminant",
     "unit_count",
-    "fundamental_part",
 ]
 
 
@@ -144,10 +141,11 @@ class FormClassSet:
 # numpy 2.4).  A sweep and `characters.family` refuse a larger Q before
 # anything is allocated.
 Q_MAX = 100_000
-# Work per discriminant is O(D): L_values(10^7), all three values read, peaks
-# at +0.22 GiB RSS in 2.6 s in a fresh process (2-core VM), +0.19 GiB of it
-# building the character profile, and enumerate_class_set walks O(D) (a, b)
-# steps.  A larger D is refused before anything is allocated.
+# Work per discriminant is O(D): L_values(10^7 - 1), all three values read,
+# peaks at +145 MiB RSS in 1.8 s in a fresh process (2-core VM, SciPy
+# preloaded), +103 MiB of it building the character profile, and
+# enumerate_class_set walks O(D) (a, b) steps.  A larger D is refused before
+# anything is allocated.
 D_MAX = 10**7
 
 
@@ -236,18 +234,3 @@ def scale_form(f: Form, r: int) -> ScaledForm:
     if r < 1:
         raise ValueError("scale factor r must be >= 1")
     return ScaledForm(form=Form(f.a, f.b * r, f.c * r * r))
-
-
-def fundamental_part(D: int) -> tuple[int, int]:
-    """Write -D = Delta * k^2 with Delta a fundamental discriminant.
-
-    Returns (|Delta|, k), read from D = prod p^e: with d0 = prod p^(e mod 2)
-    and k = prod p^(e // 2), D = d0 k^2, and -d0 is fundamental when
-    d0 = 3 mod 4; otherwise k is even (D = 0 mod 4) and |Delta| = 4 d0.
-    """
-    require_discriminant(D)
-    d0, k = 1, 1
-    for p, e in factorize(D):
-        d0 *= p ** (e % 2)
-        k *= p ** (e // 2)
-    return (d0, k) if d0 % 4 == 3 else (4 * d0, k // 2)

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import arith
 from .arith import big_omega_upto, factorize, mult_functions, prime_table, primes_upto
-from .characters import L_values, sum_local_densities
+from .characters import L_values, char_profile, sum_local_densities
 from .forms import (Form, delta_f, enumerate_class_set, is_ambiguous, is_primitive,
                     is_reduced, reduce_form, unit_count)
 from .lattice import (EllipseWindow, count_A, count_A_ell, count_odd_points,
@@ -288,7 +288,7 @@ class SieveReport:
 
     @cached_property
     def degenerate_L_branch(self) -> bool:
-        return L_values(self.f.D).L1 < math.log(self.y) ** -2
+        return char_profile(self.f.D).L1 < math.log(self.y) ** -2
 
     @cached_property
     def script_J(self) -> float:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -16,7 +18,7 @@ from bqfsieve.characters import (EULER_GAMMA, ErrorFunctionals,
                                  dirichlet_convolution_table, error_functionals,
                                  family, scan_discriminant,
                                  sum_local_densities, weighted_dirichlet_sums)
-from bqfsieve.forms import D_MAX, Form, enumerate_class_set, fundamental_part
+from bqfsieve.forms import D_MAX, Form, enumerate_class_set
 from bqfsieve.lattice import local_density_g
 
 
@@ -74,7 +76,7 @@ def test_polya_vinogradov_envelope_measured():
         if D % 4 not in (0, 3):
             continue
         prof = char_profile(D)
-        assert prof.s_max <= math.sqrt(D) * (2 + math.log(D)), D
+        assert int(prof.abs_S.max()) <= math.sqrt(D) * (2 + math.log(D)), D
 
 
 def test_tail_quadratic_against_truncated_sum():
@@ -86,7 +88,7 @@ def test_tail_quadratic_against_truncated_sum():
         # tail is at most max|S|/N
         brute = sum(abs(S[n]) / (n * (n + 1)) for n in range(y, N))
         exact = prof.tail_quadratic_abs(y)
-        assert 0 <= exact - brute <= prof.s_max / N
+        assert 0 <= exact - brute <= int(prof.abs_S.max()) / N
 
 
 def test_L_values_classical():
@@ -139,7 +141,7 @@ def test_L_values_blocked_sum_matches_one_block(monkeypatch, periods):
         whole = L_values(D)
         want = (whole.L1, whole.L1_prime, whole.error_bound)  # before the patch
         monkeypatch.setattr(characters, "_SUM_CELLS", int(periods * D))
-        monkeypatch.delattr(char_profile(D), "lvals")
+        monkeypatch.delattr(char_profile(D), "_derivative")
         blocked = L_values(D)
         assert (blocked.L1, blocked.error_bound) == (want[0], want[2]), D
         assert abs(blocked.L1_prime - want[1]) <= 1e-13, D
@@ -150,40 +152,75 @@ def test_L_values_computed_once_per_profile(monkeypatch):
     characters._profile_cache.cache_clear()
     calls = []
 
-    def counted(x):
+    def counted(x, out=None):
         calls.append(np.size(x))
-        return digamma(x)
+        return digamma(x, out=out)
 
     monkeypatch.setattr(characters, "_digamma", counted)
     D = 2003
     lv = L_values(D)
-    assert len(calls) == 1          # L1 is the only digamma pass of lvals
-    assert L_values(D) is lv and char_profile(D).lvals is lv
+    assert len(calls) == 1          # L1 is the only digamma pass of the L-values
+    assert L_values(D) == lv
     sum_local_densities(Form(1, 1, 501), 10.0)
     class_number_estimate(D)
     assert len(calls) == 1
 
 
-def test_class_number_estimate_computes_L1_alone():
-    # L1 at once; L1_prime and error_bound together, on the first read of
-    # either, after which the object no longer holds chi
+def test_class_number_estimate_computes_L1_alone(monkeypatch):
+    # the profile's L1 in one digamma pass; L1_prime and error_bound
+    # together, on the first L_values call
     characters._profile_cache.cache_clear()
+    calls = []
+
+    def counted(x, out=None):
+        calls.append(np.size(x))
+        return digamma(x, out=out)
+
+    monkeypatch.setattr(characters, "_digamma", counted)
     D = 2003
     class_number_estimate(D)
+    prof = char_profile(D)
+    assert calls == [D] and "L1" in vars(prof) and "_derivative" not in vars(prof)
     lv = L_values(D)
-    assert "_derivative" not in vars(lv)
-    lv.error_bound
-    assert "_derivative" in vars(lv) and "_chi" not in vars(lv)  # chi released
-    assert lv.L1_prime == lv._derivative[0]
+    assert "_derivative" in vars(prof) and calls == [D]
+    # a frozen dataclass of three floats, which holds no chi
+    assert dataclasses.is_dataclass(lv) and type(lv).__dataclass_params__.frozen
+    assert [type(v) for v in dataclasses.astuple(lv)] == [float] * 3
+    assert (lv.L1, lv.L1_prime, lv.error_bound) == (prof.L1, *prof._derivative)
 
 
 def test_profile_computes_no_abs_S_statistic_until_read():
-    stats = {"abs_S", "s_max", "_mu_absS", "_r_dev_absS", "lvals"}
+    stats = {"abs_S", "_mu_absS", "_r_dev_absS", "L1", "_derivative"}
     prof = characters.CharacterProfile(2003)
     assert stats.isdisjoint(vars(prof))
-    assert prof.s_max == int(np.max(np.abs(prof.S_mod.astype(np.int64))))
-    assert stats & vars(prof).keys() == {"abs_S", "s_max"}
+    assert np.array_equal(prof.abs_S, np.abs(prof.S_mod.astype(np.int64)))
+    assert stats & vars(prof).keys() == {"abs_S"}
     assert not prof.abs_S.flags.writeable
+
+
+def test_S_mod_is_exact_at_the_dtype_boundaries():
+    # S_mod is summed in the narrowest signed type holding -D: int8 up to
+    # D = 128, int16 up to D = 32768, int32 above
+    for D in (127, 128, 131, 32767, 32768, 32771):
+        prof = char_profile(D)
+        assert prof.S_mod.dtype == np.min_scalar_type(-D), D
+        assert np.array_equal(prof.S_mod, np.cumsum(prof.chi[:D], dtype=np.int64)), D
+        brute = np.cumsum([0] + [kronecker(-D, n) for n in range(1, D)])
+        assert prof.S_mod.tolist() == brute.tolist(), D
+
+
+def test_profile_build_allocates_no_int64_period():
+    # chi (int8) with spf and one int32 arange while chi is built, then
+    # chi and S_mod (int32): about 10 bytes a cell, where one D-cell int64
+    # temporary would add 8
+    D = 2**21 + 3
+    tracemalloc.start()
+    try:
+        characters.CharacterProfile(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * D, peak / D
 
 
 def _L_values_unblocked(D):
@@ -319,7 +356,7 @@ def test_L_values_rejects_non_discriminant():
 
 def test_one_refusal_for_a_non_discriminant():
     want = "D = 5 is not a discriminant (need D >= 3, D = 0 or 3 mod 4)"
-    for refuse in (char_profile, fundamental_part, enumerate_class_set):
+    for refuse in (char_profile, enumerate_class_set):
         with pytest.raises(ValueError) as err:
             refuse(5)
         assert str(err.value) == want, refuse
@@ -412,15 +449,15 @@ def test_error_functional_reported_values_are_upper_bounds():
     prof = char_profile(D)
     ef = error_functionals(D, x)
     y0, y1 = int(ef.argmin_y0), int(ef.argmin_y1)
-    N = 2 * 10**6
+    N, s_max = 2 * 10**6, int(prof.abs_S.max())
     S = char_prefix_sums(D, N).tolist()
     tail0 = sum(abs(S[n]) / (n * (n + 1)) for n in range(y0, N))
     brute0 = y0**2 / x + abs(S[y0]) + x * tail0
-    assert brute0 <= ef.E0 + x * (prof.s_max / N) + 1e-9
+    assert brute0 <= ef.E0 + x * (s_max / N) + 1e-9
     tail1 = sum(abs(S[n]) * (math.log(n) / n - math.log(n + 1) / (n + 1))
                 for n in range(y1, N))
     brute1 = y1 / x + math.log(x) * tail1
-    assert brute1 <= ef.E1 + math.log(x) * prof.s_max * (1 + math.log(N)) / N + 1e-9
+    assert brute1 <= ef.E1 + math.log(x) * s_max * (1 + math.log(N)) / N + 1e-9
 
 
 def loop_y_grid(limit, ratio):
@@ -479,13 +516,29 @@ def test_chi_factorization_through_fundamental_part():
 
     rng = random.Random(3)
     nonfund = [D for D in range(3, 2000)
-               if D % 4 in (0, 3) and fundamental_part(D)[1] > 1]
+               if D % 4 in (0, 3) and _fundamental_part_by_search(D)[1] > 1]
     for D in rng.sample(nonfund, 100):
-        delta_abs, k = fundamental_part(D)
+        delta_abs, k = _fundamental_part_by_search(D)
         chi, chi_f = char_profile(D).chi, char_profile(delta_abs).chi
         for n in range(1, 1001):
             expect = chi_f[n % delta_abs] if math.gcd(n, k) == 1 else 0
             assert chi[n % D] == expect, (D, n)
+
+
+def _fundamental_part_by_search(D):
+    """Oracle: the largest k with k^2 | D and -D/k^2 fundamental, searched
+    downwards from isqrt(D)."""
+    for k in range(math.isqrt(D), 0, -1):
+        if D % (k * k) == 0:
+            m = D // (k * k)
+            if m % 4 == 3 and _squarefree(m):
+                return m, k
+            if m % 4 == 0 and (m // 4) % 4 in (1, 2) and _squarefree(m // 4):
+                return m, k
+
+
+def _squarefree(n):
+    return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
 
 
 def test_average_exceptional_report_runs():

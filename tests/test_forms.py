@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bqfsieve.forms import (Form, delta_f, enumerate_class_set,
-                            fundamental_part, is_ambiguous, is_discriminant,
-                            is_primitive, is_reduced, reduce_form, reduced_forms_upto,
-                            scale_form, unit_count)
+from bqfsieve.forms import (Form, delta_f, enumerate_class_set, is_ambiguous,
+                            is_discriminant, is_primitive, is_reduced, reduce_form,
+                            reduced_forms_upto, scale_form, unit_count)
 
 
 def orbit_reduced_forms(f, depth=8):
@@ -257,33 +256,3 @@ def test_scale_form_discriminant(f, r):
 
 def test_unit_count():
     assert unit_count(3) == 6 and unit_count(4) == 4 and unit_count(23) == 2
-
-
-def test_fundamental_part():
-    assert fundamental_part(12) == (3, 2)
-    assert fundamental_part(23) == (23, 1)
-    assert fundamental_part(4) == (4, 1)
-    assert fundamental_part(16) == (4, 2)
-    assert fundamental_part(75) == (3, 5)
-    assert fundamental_part(7 * 1000003**2) == (7, 1000003)  # D > 10^12
-    assert fundamental_part(12 * 1000003**2) == (3, 2000006)
-    assert fundamental_part(10**12 + 3) == (10**12 + 3, 1)
-    for D in range(3, 20001):
-        if is_discriminant(D):
-            assert fundamental_part(D) == _fundamental_part_by_search(D), D
-
-
-def _fundamental_part_by_search(D):
-    """Oracle: the largest k with k^2 | D and -D/k^2 fundamental, searched
-    downwards from isqrt(D)."""
-    for k in range(math.isqrt(D), 0, -1):
-        if D % (k * k) == 0:
-            m = D // (k * k)
-            if m % 4 == 3 and _squarefree(m):
-                return m, k
-            if m % 4 == 0 and (m // 4) % 4 in (1, 2) and _squarefree(m // 4):
-                return m, k
-
-
-def _squarefree(n):
-    return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))

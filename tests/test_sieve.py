@@ -228,6 +228,7 @@ def _spy_calls(monkeypatch, names):
 
 def test_sweep_row_reads_no_L_values_and_counts_no_class_number(monkeypatch):
     calls = _spy_calls(monkeypatch, [("characters", "L_values"),
+                                     ("characters", "char_profile"),
                                      ("characters", "sum_local_densities"),
                                      ("forms", "enumerate_class_set")])
     res = run_sweep(SweepConfig(Q=300, jobs=1))
@@ -239,6 +240,7 @@ def test_sweep_row_reads_no_L_values_and_counts_no_class_number(monkeypatch):
     rep = selberg_upper_bound(f, x, y, pinned_z(f, x, y))
     assert rep.script_J > 0 and not rep.degenerate_L_branch
     assert calls["characters.L_values"] >= 1
+    assert calls["characters.char_profile"] >= 1   # the report reads chi's profile
     assert calls["characters.sum_local_densities"] == 1
     assert calls["forms.enumerate_class_set"] == 0  # the sieve needs no h
     theorem_rhs(f, x, x, 0.25, 0.2)

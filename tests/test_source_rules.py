@@ -17,7 +17,9 @@ it.  No module imports another module's underscore name
 (`from .lattice import _rows`): what one module keeps private, no other
 module builds on.  Process-wide state is the two tables a workload reads
 across rows, so a `global` statement appears in `arith` alone and names only
-the prime mask or the Omega table."""
+the prime mask or the Omega table.  Value types are dataclasses: no class
+writes its own `__eq__`, `__hash__` or `__repr__`, and no code reaches into
+an object's `__dict__`, so what a value holds is the fields it declares."""
 
 import ast
 from pathlib import Path
@@ -34,6 +36,7 @@ THEOREM_CALLS = {"pi_f", "pi_f_interval", "theorem_rhs"}
 SCIPY_NAMES = {"digamma": ("characters.py", "_digamma"), "expi": ("cli.py", "_Li")}
 TABLE_MODULE = "arith.py"
 SHARED_TABLES = {"_mask", "_omega"}
+DATACLASS_METHODS = {"__eq__", "__hash__", "__repr__"}
 
 
 def _violations(path: Path) -> list[str]:
@@ -74,6 +77,11 @@ def _violations(path: Path) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.level and node.module:
             out.extend(f"{where}: private name {alias.name} from .{node.module}"
                        for alias in node.names if alias.name.startswith("_"))
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name in DATACLASS_METHODS):
+            out.append(f"{where}: hand-written {node.name}")
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            out.append(f"{where}: __dict__ access")
     return sorted(out, key=lambda v: int(v.split(":")[1]))  # in source order
 
 
@@ -134,7 +142,11 @@ def test_rules_catch_each_pattern(tmp_path):
                     "from .lattice import (EllipseWindow, _row_span,\n    _row_values)\n"
                     "from . import __version__\nfrom .arith import MASK_CAP\n"
                     "raise AssertionError\nraise AssertionError('x')\n"
-                    "raise RuntimeError('x')\nglobal _mask\n")
+                    "raise RuntimeError('x')\nglobal _mask\n"
+                    "class V:\n    def __eq__(self, o):\n        pass\n"
+                    "    def __hash__(self):\n        pass\n"
+                    "    def __repr__(self):\n        pass\n"
+                    "self.__dict__.pop('_chi')\n")
     assert [v.split(": ", 1)[1] for v in _violations(path)] == [
         "assert statement", "call to eval", "call to exec", "call to compile",
         "bare except", "process pool outside arith.py",
@@ -147,7 +159,9 @@ def test_rules_catch_each_pattern(tmp_path):
         "scipy import other than ['digamma', 'expi']",
         "private name _row_span from .lattice", "private name _row_values from .lattice",
         "raise AssertionError", "raise AssertionError",
-        "global _mask outside the shared tables"]
+        "global _mask outside the shared tables", "hand-written __eq__",
+        "hand-written __hash__", "hand-written __repr__",
+        "__dict__ access"]
     # the two admitted imports, each only where it is admitted
     for name, text in (("characters.py", "from scipy.special import digamma\n"
                                          "def _digamma():\n    from scipy.special import digamma\n"
