@@ -133,9 +133,12 @@ def prime_table(limit: int) -> np.ndarray:
     return _mask
 
 
-def primes_upto(n: int) -> list[int]:
-    """The primes <= n, ascending, as Python ints read from the shared mask."""
-    return np.flatnonzero(prime_table(n)[: n + 1]).tolist() if n >= 2 else []
+def primes_upto(n: int, lo: int = 0) -> list[int]:
+    """The primes p with lo <= p <= n, ascending, as Python ints read from the
+    shared mask."""
+    if n < max(lo, 2):
+        return []
+    return (np.flatnonzero(prime_table(n)[lo : n + 1]) + lo).tolist()
 
 
 def spf_block(lo: int, hi: int) -> np.ndarray:
@@ -210,24 +213,29 @@ def kronecker(m: int, n: int) -> int:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """n = prod p^e as the pairs (p, e), p strictly ascending, for 1 <= n < 2^44.
 
-    Trial division by the table's primes <= sqrt(n) < 2^22 leaves 1 or a
-    prime.  The package factors a discriminant D <= D_MAX, a modulus l < 2^21
-    and a divisor of P(z) below z^2, all far inside the bound, so anything
-    else is refused before any work.
+    Trial division by the table's primes p <= sqrt(rem) < 2^22, rem the
+    cofactor left, leaves 1 or a prime.  The primes are read in ascending
+    blocks [lo, hi], hi = min(max(2 lo, 2^10), sqrt(rem)), so the read stops
+    where the division does.  The package factors a discriminant
+    D <= D_MAX, a modulus l < 2^21 and a divisor of P(z) below z^2, all far
+    inside the bound, so anything else is refused before any work.
     """
     if not 1 <= n < 1 << 44:
         raise ValueError(f"factorize needs 1 <= n < 2^44, got {n}")
     factors = []
-    rem = n
-    for p in primes_upto(math.isqrt(n)):
-        if p * p > rem:
-            break
-        if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            factors.append((p, e))
+    rem, lo = n, 2
+    while lo * lo <= rem:
+        hi = min(max(2 * lo, 1 << 10), math.isqrt(rem))
+        for p in primes_upto(hi, lo):
+            if p * p > rem:
+                break
+            if rem % p == 0:
+                e = 0
+                while rem % p == 0:
+                    rem //= p
+                    e += 1
+                factors.append((p, e))
+        lo = hi + 1
     if rem > 1:
         factors.append((rem, 1))
     return tuple(factors)

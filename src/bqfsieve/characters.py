@@ -18,6 +18,11 @@ exploits that periodicity:
     variant E1(x) are evaluated on a geometric y-grid (ratio 1.1); the E1
     tail certificate is added so reported values are upper bounds.
 
+chi over one period is a product of period tables, one per prime factor of
+D: the Legendre table of each odd p (squared where p divides D to an even
+power), and one table mod 8 for even D (`_chi_period`).  No sieve and no
+power mod p is run.
+
 One `CharacterProfile` per D holds what is derived from chi: chi and S over
 one period are computed when it is built; |S| and its statistics, L(1,chi)
 (its L1), and L'(1,chi) with its bound (its _derivative, read through
@@ -38,7 +43,7 @@ from functools import cached_property, partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import CellMemo, primes_upto, spf_block, worker_map
+from .arith import CellMemo, factorize, primes_upto, spf_block, worker_map
 from .forms import D_MAX, Q_MAX, Form, is_discriminant, require_discriminant, unit_count
 from .lattice import local_density_g
 
@@ -64,34 +69,56 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329  # Euler-Mascheroni, hard-coded
 
 
-def _chi_period(D: int) -> np.ndarray:
-    """chi(n) for n = 0..D as int8.
+# a Legendre table marks the squares r^2 mod p this many r at a time
+_SQUARE_CELLS = 1 << 20
 
-    chi(p) comes from Euler's criterion (-D)^((p-1)/2) mod p at the odd
-    primes and from -D mod 8 at p = 2; every other n follows from
-    chi(n) = chi(spf(n)) chi(n/spf(n)), one block [2^k, 2^(k+1)) at a time,
-    since n/spf(n) < 2^k.  spf is sieved for this D alone by `spf_block`,
-    the sieve whose blocks also fill Omega, and no table keeps it.
+
+def _legendre_table(p: int) -> np.ndarray:
+    """(n/p) for n = 0..p-1 as int8, p an odd prime: -1, then 1 at the
+    squares r^2 mod p, r <= p/2, and 0 at 0."""
+    table = np.full(p, -1, dtype=np.int8)
+    table[0] = 0
+    for lo in range(1, p // 2 + 1, _SQUARE_CELLS):
+        r = np.arange(lo, min(lo + _SQUARE_CELLS, p // 2 + 1), dtype=np.int64)
+        table[r * r % p] = 1
+    return table
+
+
+def _chi_period(D: int) -> np.ndarray:
+    """chi(n) for n = 0..D as int8: a product of period tables, one per
+    prime factor of D = 2^e m, m odd, each applied in one pass.
+
+    e = 0 (D = 3 mod 4): chi(n) = (n/D) = prod_{p^j || D} (n/p)^j, the Jacobi
+    symbol, for every n.  At odd n it is reciprocity, as -D = 1 (mod 4); at
+    n = 2 it is (-D/2) = (2/D), both fixed by D mod 8.
+    e >= 2: chi(n) = 0 at even n, and at odd n
+        chi(n) = (-1)^(((n-1)/2)((m+1)/2)) (2/n)^e prod_{p^j || m} (n/p)^j,
+    the first two factors one table of period 8.  Both sides are completely
+    multiplicative on odd n, and at an odd prime p they agree:
+    (-D/p) = (-1/p) (2/p)^e (m/p), and Jacobi reciprocity
+    (m/p) = (p/m) (-1)^(((p-1)/2)((m-1)/2)) with (-1/p) = (-1)^((p-1)/2)
+    leaves the sign (-1)^(((p-1)/2)((m+1)/2)).  (Cohen, A Course in
+    Computational Algebraic Number Theory, section 1.4.)
+
+    (n/p)^j is the Legendre table for odd j and [p does not divide n], its
+    square, for even j.
     """
     if D > D_MAX:  # first, before O(D) arrays; it also keeps the int64 squares exact
         raise ValueError(f"D = {D} exceeds D_MAX = {D_MAX}")
-    spf = spf_block(0, D + 1)
-    chi = np.zeros(D + 1, dtype=np.int8)
-    chi[1] = 1
-    p = np.flatnonzero(spf[3:] == np.arange(3, D + 1, dtype=spf.dtype)) + 3  # int64
-    b, e, r = -D % p, (p - 1) // 2, np.ones_like(p)
-    while e.any():
-        r = np.where(e & 1, r * b % p, r)
-        b = b * b % p
-        e >>= 1
-    chi[p] = np.where(r == p - 1, -1, r)
-    chi[2] = 0 if D % 2 == 0 else (1 if -D % 8 == 1 else -1)
-    lo = 4
-    while lo <= D:
-        hi = min(2 * lo, D + 1)
-        q = spf[lo:hi]
-        chi[lo:hi] = chi[q] * chi[np.arange(lo, hi, dtype=np.int32) // q]
-        lo = hi
+    e = (D & -D).bit_length() - 1
+    m = D >> e
+    tables = []
+    if e:
+        sign = np.zeros(8, dtype=np.int8)
+        for n in (1, 3, 5, 7):
+            sign[n] = (-1) ** ((n - 1) // 2 * ((m + 1) // 2) + e * (n in (3, 5)))
+        tables.append(sign)
+    for p, j in factorize(D)[e > 0:]:  # the odd p^j, after 2^e when e > 0
+        table = _legendre_table(p)
+        tables.append(table if j % 2 else table * table)
+    chi = np.ones(D + 1, dtype=np.int8)
+    for table in tables:
+        chi *= np.tile(table, -(-(D + 1) // len(table)))[:D + 1]
     return chi
 
 
@@ -113,6 +140,9 @@ _EM_ORDER = 10
 # L'(1,chi) takes _SUM_CELLS residue classes at a time, and their direct sum
 # max(1, _SUM_CELLS // D) periods at a time
 _SUM_CELLS = 1 << 20
+# the tail integral takes its grid rows (D + 1 cells each) _TAIL_CELLS cells
+# at a time, one row at a time above that
+_TAIL_CELLS = 1 << 20
 _EM_B = _em_coefficients(_EM_ORDER)
 _EM_H = np.cumsum(1 / np.arange(1, 2 * _EM_ORDER + 1))
 _EM_P = np.append(_EM_B[::-1], 0.0)
@@ -227,13 +257,20 @@ class CharacterProfile:
     def _tail(self, vals: np.ndarray, y):
         ys = np.atleast_1d(np.asarray(y, dtype=np.int64))
         D = self.D
-        # one psi per grid point (y+s)/D, s = 0..D: the upper end of cell s
-        # is the lower end of cell s+1
-        psi = _digamma((ys[:, None] + np.arange(D + 1.0)) / D)
-        diff = psi[:, 1:] - psi[:, :-1]
         # row i is vals[(y_i + s) % D], s = 0..D-1: a window of vals repeated
         windows = sliding_window_view(np.concatenate([vals, vals]), D)
-        out = (windows[ys % D] * diff).sum(axis=1) / D
+        s = np.arange(D + 1.0)
+        out = np.empty(len(ys))
+        # _TAIL_CELLS grid cells (at least one row) at a time; a row's sum
+        # is the same in any block
+        step = max(1, _TAIL_CELLS // (D + 1))
+        for lo in range(0, len(ys), step):
+            block = ys[lo:lo + step]
+            # one psi per grid point (y+s)/D, s = 0..D: the upper end of
+            # cell s is the lower end of cell s+1
+            psi = _digamma((block[:, None] + s) / D)
+            diff = psi[:, 1:] - psi[:, :-1]
+            out[lo:lo + step] = (windows[block % D] * diff).sum(axis=1) / D
         return out if np.ndim(y) else float(out[0])
 
 

@@ -142,8 +142,8 @@ class FormClassSet:
 # anything is allocated.
 Q_MAX = 100_000
 # Work per discriminant is O(D): L_values(10^7 - 1), all three values read,
-# peaks at +145 MiB RSS in 1.8 s in a fresh process (2-core VM, SciPy
-# preloaded), +103 MiB of it building the character profile, and
+# peaks at +145 MiB RSS in 1.3 s in a fresh process (2-core VM, SciPy
+# preloaded), +95 MiB of it building the character profile (0.07 s), and
 # enumerate_class_set walks O(D) (a, b) steps.  A larger D is refused before
 # anything is allocated.
 D_MAX = 10**7

@@ -113,6 +113,44 @@ def test_factorize_refuses_2_44_and_above_before_any_work():
         assert min(took) < 1e-3, (n, took)
 
 
+def trial_division_factors(n):
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return tuple(out + [(n, 1)] * (n > 1))
+
+
+def test_factorize_reads_primes_only_as_far_as_it_divides(monkeypatch):
+    read = []
+    kernel = arith.primes_upto
+
+    def spy(n, lo=0):
+        got = kernel(n, lo)
+        read.extend(got)
+        return got
+
+    monkeypatch.setattr(arith, "primes_upto", spy)
+    assert factorize.__wrapped__(2**43) == ((2, 43),)
+    assert max(read) <= 2**12
+    # against trial division: every n to 3 10^4, and n whose factors sit at
+    # the block edges 2^10, 2^11, ... or above sqrt(n)
+    edge = [1021, 1031, 2039, 2053, 4093, 4099, 1048573, 1048583, 4194301]
+    cases = list(range(1, 30001)) + [p * q for p in edge for q in edge]
+    cases += [p * 3**k for p in edge for k in (1, 5)] + [2**43 - 1, 2**44 - 1]
+    for n in cases:
+        read.clear()
+        fac = factorize.__wrapped__(n)
+        assert fac == trial_division_factors(n), n
+        # no block reads past sqrt(n), or past the first block's 2^10
+        assert not read or max(read) <= max(2**10, math.isqrt(n)), n
+
+
 @given(st.integers(1, 10**6))
 def test_factorize_roundtrip(n):
     fac = factorize(n)

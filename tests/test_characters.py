@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from bqfsieve import characters
-from bqfsieve.arith import kronecker
+from bqfsieve import arith, characters
+from bqfsieve.arith import factorize, kronecker
 from bqfsieve.characters import (EULER_GAMMA, ErrorFunctionals,
                                  L_values, _chi_period, _functional_minima,
                                  _x_grid, _y_grid, average_exceptional_report,
@@ -63,6 +63,54 @@ def test_profile_matches_kronecker():
         assert all(chi[n] == kronecker(-D, int(n)) for n in ns), D
     with pytest.raises(ValueError):
         _chi_period(D_MAX + 1)
+
+
+def _chi_samples(D, rng):
+    """n = 0..99, D - 1, D, a few multiples of each prime factor of D and
+    random n <= D."""
+    mults = [p * k for p, _ in factorize(D) for k in (1, 2, 3, p, D // p - 1)]
+    ns = np.concatenate([np.arange(100), [D - 1, D], mults,
+                         rng.integers(1, D + 1, 300)])
+    return ns[ns <= D]
+
+
+def test_chi_period_against_kronecker_at_every_2_adic_exponent():
+    # D = 2^e m for e = 2..23 with m in each class mod 8 (m and m + 104, as
+    # far as D_MAX allows); squares and cubes of odd primes, with and
+    # without a power of 2; the largest prime table and D_MAX itself
+    rng = np.random.default_rng(28)
+    Ds = [2**e * m for e in range(2, 24) for c in (1, 3, 5, 7)
+          for m in (c, c + 104) if 2**e * m <= D_MAX]
+    assert {D & -D for D in Ds} == {2**e for e in range(2, 24)}
+    Ds += [36, 4 * 1579**2, 8 * 9, 63, 147, 27, 27 * 5, 1009**2 * 7, 9_999_991, D_MAX]
+    for D in Ds:
+        chi = _chi_period(D)
+        assert chi.dtype == np.int8 and len(chi) == D + 1, D
+        for n in _chi_samples(D, rng):
+            assert chi[n] == kronecker(-D, int(n)), (D, n)
+
+
+def test_chi_period_sieves_no_spf(monkeypatch):
+    def refuse(lo, hi):
+        raise RuntimeError("spf_block called")
+
+    monkeypatch.setattr(characters, "spf_block", refuse)
+    monkeypatch.setattr(arith, "spf_block", refuse)
+    for D in (3, 4, 23, 300, 2**20, 9_999_999):
+        _chi_period(D)
+
+
+def test_chi_period_of_the_largest_prime_table_allocates_4_bytes_a_cell():
+    # chi, the Legendre table of p = D and its tiling over D + 1 cells, all
+    # int8, and the 2^20 int64 squares marked at a time
+    D = 9_999_991
+    tracemalloc.start()
+    try:
+        _chi_period(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * D, peak / D
 
 
 def test_prefix_sum_step_invariant():
@@ -287,6 +335,35 @@ def test_tail_bit_identical_to_two_psi_formula():
         ys = _y_grid(_x_grid(D**0.1, min(D**2.1, 1e7))[-1])
         for vals in (prof.S_mod, np.abs(prof.S_mod)):
             assert np.array_equal(prof._tail(vals, ys), _tail_two_psi(prof, vals, ys)), D
+
+
+def test_tail_blocked_matches_one_block(monkeypatch):
+    # a few cells per block: one row at a time, or a few rows, against one
+    # block holding the whole grid
+    for D in (3, 23, 163, 2003):
+        prof = char_profile(D)
+        ys = _y_grid(min(D**2.1, 1e7))
+        want = prof._tail(prof.abs_S, ys)
+        for cells in (1, 3 * (D + 1), 7 * (D + 1) + 5):
+            monkeypatch.setattr(characters, "_TAIL_CELLS", cells)
+            assert np.array_equal(prof._tail(prof.abs_S, ys), want), (D, cells)
+            assert prof._tail(prof.abs_S, ys[5]) == want[5], (D, cells)
+
+
+def test_tail_grid_is_taken_in_bounded_blocks():
+    # 107 rows of 99,992 cells, 287 MiB as one grid, now taken ten rows
+    # (2^20 cells of float64) at a time
+    D = 99991
+    prof = char_profile(D)
+    prof._r_dev_absS
+    characters._digamma(np.ones(1))  # SciPy imported before the trace
+    tracemalloc.start()
+    try:
+        error_functionals(D, 1000 + D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
 
 
 def _scan_eager(D, epsilon, x_cap=1e7):
